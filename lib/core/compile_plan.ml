@@ -20,7 +20,6 @@ type options = {
   dense_linear_solver : bool;
   generic_local_solver : bool;
   domains : int;
-  supervise : bool;
   best_effort : bool;
   deadline_seconds : float option;
   faults : Fault.spec option;
@@ -38,7 +37,6 @@ let default_options =
     dense_linear_solver = false;
     generic_local_solver = false;
     domains = Qturbo_par.Pool.default_domains ();
-    supervise = true;
     best_effort = false;
     deadline_seconds = None;
     faults = None;
@@ -523,6 +521,30 @@ let validate_t_tar ~who t_tar =
 (* ------------------------------------------------------------------ *)
 (* The numeric back-end                                                *)
 
+module Segments = struct
+  type segment = {
+    env : float array;
+    duration : float;
+    alpha : float array;
+    achieved : float array;
+    error_l1 : float;
+    eps1 : float;
+    system : Linear_system.t;
+    min_times : float array;
+    eps2s : float array;
+  }
+
+  type t = {
+    segments : segment list;
+    binding_segment : int;
+    constraint_iterations : int;
+    warnings : string list;
+    diagnostics : Diagnostic.t list;
+    failures : Failure.t list;
+    degraded : bool;
+  }
+end
+
 (* Parallel strategy for a component sweep: when one component holds
    most of the channels (the single position component of a Rydberg
    AAIS), spreading components over the pool leaves every domain but
@@ -535,74 +557,21 @@ let component_domains ~domains comps =
   let largest = List.fold_left Int.max 0 sizes in
   if 2 * largest > total then (1, domains) else (domains, 1)
 
-let solve_prepared_comp ?sup ~alpha ~t_sim ~fixed_domains = function
-  | Dynamic p -> (
-      match sup with
-      | None ->
-          let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_prepared ~alpha ~t_sim p
-          in
-          (assignments, eps2, [])
-      | Some sup ->
-          let { Local_solver.assignments; eps2 }, failures =
-            Local_solver.solve_supervised ~sup ~alpha ~t_sim p
-          in
-          (assignments, eps2, failures))
-  | Fixed p -> (
-      match sup with
-      | None ->
-          let { Fixed_solver.assignments; eps2 } =
-            Fixed_solver.solve_prepared ~domains:fixed_domains ~alpha ~t_sim p
-          in
-          (assignments, eps2, [])
-      | Some sup ->
-          let { Fixed_solver.assignments; eps2 }, failures =
-            Fixed_solver.solve_supervised ~domains:fixed_domains ~sup ~alpha
-              ~t_sim p
-          in
-          (assignments, eps2, failures))
-
-(* Run a guarded component sweep.  The supervisor's pool guard raises
-   [Expired] the moment the deadline passes (or an injected deadline fault
-   fires), which abandons the sweep; the fallback rerun is unguarded, and
-   because the deadline has by then expired for every component, each
-   supervised solve short-circuits deterministically with a
-   [Deadline_expired] record — the same degraded result at any domain
-   count. *)
-let guarded_sweep ?sup ~site ~comp_domains f prepared =
+(* Run [f i] for every index in [0, total) on the pool, guarded.  The
+   supervisor's pool guard raises [Expired] the moment the deadline
+   passes (or an injected deadline fault fires), which abandons the
+   sweep; the fallback rerun is unguarded, and because the deadline has
+   by then expired for every index, each supervised solve
+   short-circuits deterministically with a [Deadline_expired] record —
+   the same degraded result at any domain count. *)
+let guarded_for ~sup ~site ~domains ~total f =
   let run ~guarded =
     let guard =
-      match sup with
-      | Some s when guarded -> Some (Supervisor.pool_guard s ~site)
-      | _ -> None
+      if guarded then Some (Supervisor.pool_guard sup ~site) else None
     in
-    Qturbo_par.Pool.parallel_map_list ?guard ~domains:comp_domains ~chunk:1 f
-      prepared
+    Qturbo_par.Pool.parallel_for ?guard ~domains ~chunk:1 ~total f
   in
   try run ~guarded:true with Supervisor.Expired -> run ~guarded:false
-
-(* Solve every component at the given evolution time, returning the full
-   environment, the per-component residuals, and the per-component failure
-   records.  Solves run on the pool (components write disjoint variable
-   slots); the assignments are then applied sequentially in component
-   order, so the resulting [env] is identical to the sequential sweep. *)
-let solve_components ?sup ~vars ~comp_domains ~fixed_domains ~alpha ~t_sim
-    prepared =
-  let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
-  let solved =
-    guarded_sweep ?sup ~site:"local-solve" ~comp_domains
-      (fun p -> solve_prepared_comp ?sup ~alpha ~t_sim ~fixed_domains p)
-      prepared
-  in
-  let failures = List.concat_map (fun (_, _, fs) -> fs) solved in
-  let eps2s =
-    List.map
-      (fun (assignments, eps2, _) ->
-        List.iter (fun (v, x) -> env.(v) <- x) assignments;
-        eps2)
-      solved
-  in
-  (env, eps2s, failures)
 
 let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
   (* a kernel eval is ~10 ns; only very wide channel sets outweigh the
@@ -612,16 +581,339 @@ let alpha_achieved_of_env ~domains ~channels ~env ~t_sim =
     (fun (c : Instruction.channel) -> Instruction.eval_channel c ~env *. t_sim)
     channels
 
-(* The full numeric back-end: instantiate the right-hand side, run the
-   precheck against the instance, the global linear solve, evolution-time
-   optimisation, the §5.2 constraint iteration and §6.2 refinement.
-   Ported verbatim from the pre-plan [Compiler.compile] body — the float
-   operations and their order are unchanged, so results are
-   bitwise-identical to the monolithic pipeline. *)
+(* Precheck every segment Hamiltonian, deduplicating findings that repeat
+   across segments (the channels and bounds are shared, so a term
+   unsupported in one segment is typically unsupported in all).  The
+   structure pass was computed once at plan build; only the
+   coefficient-dependent passes run per segment. *)
+let precheck ?t_max ~plan ~tau_tar targets =
+  let seen = Hashtbl.create 32 in
+  List.concat_map
+    (fun target ->
+      List.filter
+        (fun (d : Diagnostic.t) ->
+          let key = (d.code, Diagnostic.subject_to_string d.subject) in
+          if Hashtbl.mem seen key then false
+          else begin
+            Hashtbl.add seen key ();
+            true
+          end)
+        (Qturbo_analysis.Analysis.static_checks ~aais:plan.device.aais ~target
+           ~t_tar:tau_tar ?t_max ()
+        @ plan.structure_diags))
+    targets
+
+(* The numeric back-end (paper §5–§6), segment-indexed: a static compile
+   is one segment.  Each segment gets its own right-hand side, linear
+   solve and dynamic-component solves; the runtime-fixed variables
+   (atom positions) are shared, solved once against the binding segment
+   (§5.3). *)
+let solve_segments ~options ~strict ?t_max ~(plan : t) ~targets ~tau_tar () =
+  let { aais; channels; vars; comps; prepared; _ } = plan.device in
+  let k = List.length targets in
+  let domains = options.domains in
+  let warnings = ref [] in
+  (* supervision context: deadline (absolute from here), fault spec
+     (explicit, else QTURBO_FAULTS), best-effort flag *)
+  let sup =
+    Supervisor.make ?deadline_seconds:options.deadline_seconds
+      ?faults:options.faults ~best_effort:options.best_effort ()
+  in
+  (* segments run on the pool; within a segment its components run on
+     the pool too.  A one-segment solve runs inline, so a static compile
+     still spreads its components; with several segments each runs its
+     components sequentially on its worker.  Per-component results land
+     in arrays by component index, so any schedule fills them alike. *)
+  let comp_domains, fixed_domains = component_domains ~domains comps in
+  let comps = Array.of_list (List.combine comps prepared) in
+  let n_comps = Array.length comps in
+  let over_segments f =
+    Qturbo_par.Pool.parallel_map ~domains ~chunk:1 f (Array.init k Fun.id)
+  in
+  let over_comps ~site f =
+    guarded_for ~sup ~site ~domains:comp_domains ~total:n_comps (fun i ->
+        f i (fst comps.(i)) (snd comps.(i)))
+  in
+  (* stage 0: the static analyzer as a fail-fast precheck — provably
+     broken inputs are rejected before any solver runs *)
+  !stage_hook "precheck";
+  let diagnostics = precheck ?t_max ~plan ~tau_tar targets in
+  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
+  List.iter
+    (fun d ->
+      if d.Diagnostic.severity = Diagnostic.Warning then
+        warnings := Diagnostic.to_string d :: !warnings)
+    diagnostics;
+  (* stage 1: per-segment right-hand sides against the plan's skeleton,
+     and the global linear solve over synthesized variables *)
+  !stage_hook "linear-solve";
+  let systems =
+    Array.of_list
+      (List.map
+         (fun target ->
+           Linear_system.instantiate plan.skeleton ~target ~t_tar:tau_tar)
+         targets)
+  in
+  let lins =
+    over_segments (fun s ->
+        (if options.dense_linear_solver then Linear_system.solve_dense
+         else Linear_system.solve)
+          systems.(s))
+  in
+  let alphas = Array.map (fun l -> l.Qturbo_linalg.Sparse_solve.x) lins in
+  (* stage 2: evolution-time optimisation — per segment, the bottleneck
+     of its components' shortest feasible times *)
+  let min_time_results =
+    over_segments (fun s ->
+        let times = Array.make n_comps 0.0 in
+        let failures = Array.make n_comps [] in
+        over_comps ~site:"min-time" (fun i _ p ->
+            match p with
+            | Dynamic p ->
+                let t, fs =
+                  Local_solver.min_time_supervised ~sup ~alpha:alphas.(s) p
+                in
+                times.(i) <- t;
+                failures.(i) <- fs
+            | Fixed _ -> ());
+        (times, failures))
+  in
+  let min_times = Array.map fst min_time_results in
+  let bottlenecks = Array.map (Array.fold_left Float.max 0.0) min_times in
+  if Array.mem infinity bottlenecks then
+    warnings :=
+      "some component is infeasible at any evolution time" :: !warnings;
+  let t_dyn =
+    Array.map
+      (fun bottleneck ->
+        let t_base =
+          if bottleneck = infinity || bottleneck = 0.0 then options.time_floor
+          else Float.max options.time_floor bottleneck
+        in
+        if options.time_opt then t_base else t_base *. options.no_opt_padding)
+      bottlenecks
+  in
+  (* stage 3: the shared runtime-fixed layout, solved against the binding
+     segment (largest fixed-channel amplitude demand α/T), growing T while
+     the layout violates device geometry (§5.2).  The retry loop is
+     hard-bounded: exhausting [max_constraint_iters] (or the deadline)
+     produces a classified failure and the best layout found, never an
+     unbounded spin. *)
+  !stage_hook "local-solve";
+  let fixed =
+    Array.of_list
+      (List.filter_map
+         (fun i -> match snd comps.(i) with Fixed f -> Some (i, f) | _ -> None)
+         (List.init n_comps Fun.id))
+  in
+  let fixed_cids =
+    List.concat_map
+      (fun (i, _) -> (fst comps.(i)).Locality.channel_ids)
+      (Array.to_list fixed)
+  in
+  let demand s =
+    List.fold_left
+      (fun acc cid -> Float.max acc (Float.abs alphas.(s).(cid) /. t_dyn.(s)))
+      0.0 fixed_cids
+  in
+  let sb = ref 0 in
+  for s = 1 to k - 1 do
+    if demand s > demand !sb then sb := s
+  done;
+  let sb = !sb in
+  let retry_fault =
+    Fault.fires (Supervisor.faults sup) ~site:"constraint-loop" ~component:(-1)
+    = Some Fault.Retry
+  in
+  let layout_eps2 = Array.make n_comps 0.0 in
+  let rec attempt t iter =
+    let env = Array.map (fun (v : Variable.t) -> v.Variable.init) vars in
+    let failures = Array.make (Array.length fixed) [] in
+    guarded_for ~sup ~site:"local-solve" ~domains:comp_domains
+      ~total:(Array.length fixed) (fun j ->
+        let i, f = fixed.(j) in
+        let r, fs =
+          Fixed_solver.solve_supervised ~domains:fixed_domains ~sup
+            ~alpha:alphas.(sb) ~t_sim:t f
+        in
+        List.iter (fun (v, x) -> env.(v) <- x) r.Fixed_solver.assignments;
+        layout_eps2.(i) <- r.Fixed_solver.eps2;
+        failures.(j) <- fs);
+    let violations =
+      if retry_fault then
+        [ "injected fault: constraint-loop=retry forces a violation" ]
+      else aais.Aais.check_fixed env
+    in
+    let exhausted = iter >= options.max_constraint_iters in
+    if
+      violations = [] || exhausted
+      || Supervisor.site_expired sup ~site:"constraint-loop" ~component:(-1)
+    then begin
+      let record =
+        if violations = [] then []
+        else begin
+          let reason =
+            Printf.sprintf "%s after %d iterations: %s"
+              (if exhausted then "layout constraints unresolved"
+               else "deadline expired with layout constraints unresolved")
+              iter
+              (String.concat "; " violations)
+          in
+          warnings := reason :: !warnings;
+          [
+            Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
+              ~fatal:false
+              ~class_:
+                (if exhausted then Failure.Position_retry_exhausted
+                 else Failure.Deadline_expired)
+              reason;
+          ]
+        end
+      in
+      (t, env, iter, List.concat (Array.to_list failures) @ record)
+    end
+    else attempt (t *. options.dt_factor) (iter + 1)
+  in
+  let t_binding, fixed_env, constraint_iterations, layout_failures =
+    attempt t_dyn.(sb) 0
+  in
+  (* the shared layout's amplitude per fixed channel, evaluated once —
+     every segment reads the same values *)
+  let is_fixed = Array.make (Array.length channels) false in
+  let fixed_val = Array.make (Array.length channels) 0.0 in
+  List.iter
+    (fun cid ->
+      is_fixed.(cid) <- true;
+      fixed_val.(cid) <- Instruction.eval_channel channels.(cid) ~env:fixed_env)
+    fixed_cids;
+  (* per-segment duration.  A single segment runs at the layout's T.
+     With several, each is stretched so the shared layout integrates to
+     its required B, never faster than its dynamic bottleneck; the
+     binding segment additionally keeps the layout's T. *)
+  let durations =
+    Array.init k (fun s ->
+        if k = 1 then t_binding
+        else
+          let t_fixed =
+            List.fold_left
+              (fun acc cid ->
+                let amp = fixed_val.(cid) in
+                if Float.abs amp > 1e-12 then
+                  Float.max acc (alphas.(s).(cid) /. amp)
+                else acc)
+              0.0 fixed_cids
+          in
+          let t = Float.max t_dyn.(s) t_fixed in
+          if s = sb then Float.max t t_binding else t)
+  in
+  (* stage 4: per segment, iterative refinement (§6.2) — re-solve the
+     runtime-dynamic channels against the residual left by the achieved
+     fixed amplitudes — then the dynamic components at the segment's
+     duration.  Components write disjoint variable slots, so the env is
+     the same under any schedule.  A fixed component only reports its
+     residual: against the achieved layout when refining, else the
+     layout solve's own. *)
+  let refine_expired =
+    options.refine && Supervisor.site_expired sup ~site:"refine" ~component:(-1)
+  in
+  let refine = options.refine && not refine_expired in
+  let solve_segment s =
+    let ls = systems.(s) and alpha = alphas.(s) and t_sim = durations.(s) in
+    let alpha_dyn =
+      if not refine then alpha
+      else
+        let adjusted_rows =
+          List.map
+            (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
+              let fixed_part =
+                List.fold_left
+                  (fun acc (cid, coeff) ->
+                    if is_fixed.(cid) then
+                      acc +. (coeff *. (fixed_val.(cid) *. t_sim))
+                    else acc)
+                  0.0 cells
+              in
+              {
+                Qturbo_linalg.Sparse_solve.cells =
+                  List.filter (fun (cid, _) -> not is_fixed.(cid)) cells;
+                rhs = rhs -. fixed_part;
+              })
+            (Linear_system.rows ls)
+        in
+        (Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length channels)
+           adjusted_rows)
+          .Qturbo_linalg.Sparse_solve.x
+    in
+    let env = Array.copy fixed_env in
+    let eps2s = Array.make n_comps 0.0 and failures = Array.make n_comps [] in
+    over_comps ~site:"refine" (fun i comp p ->
+        match p with
+        | Dynamic p ->
+            let { Local_solver.assignments; eps2 }, fs =
+              Local_solver.solve_supervised ~sup ~alpha:alpha_dyn ~t_sim p
+            in
+            List.iter (fun (v, x) -> env.(v) <- x) assignments;
+            eps2s.(i) <- eps2;
+            failures.(i) <- fs
+        | Fixed _ when refine ->
+            eps2s.(i) <-
+              List.fold_left
+                (fun acc cid ->
+                  acc +. Float.abs ((fixed_val.(cid) *. t_sim) -. alpha.(cid)))
+                0.0 comp.Locality.channel_ids
+        | Fixed _ -> eps2s.(i) <- layout_eps2.(i));
+    let achieved = alpha_achieved_of_env ~domains ~channels ~env ~t_sim in
+    ( {
+        Segments.env;
+        duration = t_sim;
+        alpha;
+        achieved;
+        error_l1 = Linear_system.residual_l1 ls ~alpha:achieved;
+        eps1 = lins.(s).Qturbo_linalg.Sparse_solve.residual_l1;
+        system = ls;
+        min_times = min_times.(s);
+        eps2s;
+      },
+      failures )
+  in
+  let solved = over_segments solve_segment in
+  (* failures, in pipeline order: evolution-time search, the layout's
+     final solves and constraint-loop record, refinement expiry, then the
+     dynamic solves (segment order, component order within) *)
+  let per_comp results =
+    List.concat_map
+      (fun (_, failures) -> List.concat (Array.to_list failures))
+      (Array.to_list results)
+  in
+  let failures =
+    per_comp min_time_results @ layout_failures
+    @ (if refine_expired then
+         [
+           Failure.make ~component:(-1) ~site:"refine" ~stage:"" ~fatal:false
+             ~class_:Failure.Deadline_expired
+             "deadline expired before refinement; returning unrefined result";
+         ]
+       else [])
+    @ per_comp solved
+  in
+  let degraded = List.exists (fun f -> f.Failure.fatal) failures in
+  if degraded && not (Supervisor.best_effort sup) then
+    raise (Failure.Failed failures);
+  {
+    Segments.segments = List.map fst (Array.to_list solved);
+    binding_segment = sb;
+    constraint_iterations;
+    warnings = List.rev !warnings;
+    diagnostics;
+    failures;
+    degraded;
+  }
+
+(* The time-independent compile: one segment of the shared back-end,
+   repackaged with the per-component summary and plan provenance. *)
 let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
   validate_t_tar ~who:"Compiler.compile" t_tar;
-  let aais = plan.device.aais in
-  if Pauli_sum.n_qubits target > aais.Aais.n_qubits then
+  if Pauli_sum.n_qubits target > plan.device.aais.Aais.n_qubits then
     invalid_arg "Compiler.compile: target touches qubits outside the AAIS";
   let plan_index = Linear_system.skeleton_index plan.skeleton in
   List.iter
@@ -633,286 +925,28 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
         invalid_arg "Compile_plan.solve: target term outside the plan's shape")
     (Pauli_sum.terms target);
   let solve_t0 = Qturbo_util.Clock.now () in
-  let domains = options.domains in
-  let warnings = ref [] in
-  (* supervision context: deadline (absolute from here), fault spec
-     (explicit, else QTURBO_FAULTS), best-effort flag.  [supervise = false]
-     bypasses the ladder entirely — the raw seed solver path, kept for
-     overhead benchmarking. *)
-  let sup =
-    if options.supervise then
-      Some
-        (Supervisor.make ?deadline_seconds:options.deadline_seconds
-           ?faults:options.faults ~best_effort:options.best_effort ())
-    else None
+  let r =
+    solve_segments ~options ~strict ?t_max ~plan ~targets:[ target ]
+      ~tau_tar:t_tar ()
   in
-  let pipeline_failures = ref [] in
-  let fault_fires site =
-    match sup with
-    | None -> None
-    | Some s -> Fault.fires (Supervisor.faults s) ~site ~component:(-1)
-  in
-  let channels = plan.device.channels in
-  let vars = plan.device.vars in
-  let comps = plan.device.comps in
-  (* stage 0: attach the instance to the plan's skeleton, then run the
-     static analyzer as a fail-fast precheck — provably-broken inputs
-     are rejected before any solver runs.  The structure pass was
-     computed once at plan build; only the coefficient-dependent passes
-     run per instance. *)
-  let ls = Linear_system.instantiate plan.skeleton ~target ~t_tar in
-  !stage_hook "precheck";
-  let diagnostics =
-    Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
-    @ plan.structure_diags
-  in
-  if strict then Qturbo_analysis.Analysis.check_or_raise diagnostics;
-  List.iter
-    (fun d ->
-      if d.Diagnostic.severity = Diagnostic.Warning then
-        warnings := Diagnostic.to_string d :: !warnings)
-    diagnostics;
-  Log.debug (fun m ->
-      m "precheck: %d diagnostics (%d errors)" (List.length diagnostics)
-        (List.length (Diagnostic.errors diagnostics)));
-  (* stage 1: global linear system over synthesized variables *)
-  !stage_hook "linear-solve";
-  let lin =
-    if options.dense_linear_solver then Linear_system.solve_dense ls
-    else Linear_system.solve ls
-  in
-  let alpha = lin.Qturbo_linalg.Sparse_solve.x in
-  let eps1 = lin.Qturbo_linalg.Sparse_solve.residual_l1 in
-  Log.debug (fun m ->
-      let st = lin.Qturbo_linalg.Sparse_solve.stats in
-      m "linear system: %d rows, %d channels, greedy %d / dense %d, eps1 %.3g"
-        (Term_index.count ls.Linear_system.index)
-        (Array.length channels)
-        st.Qturbo_linalg.Sparse_solve.greedy_solved
-        st.Qturbo_linalg.Sparse_solve.dense_solved eps1);
-  (* stage 2: classification and prepared contexts come off the plan *)
-  let classifications = plan.device.classifications in
-  let prepared = plan.device.prepared in
-  let comp_domains, fixed_domains = component_domains ~domains comps in
-  (* stage 3: evolution-time optimisation (bottleneck component) *)
-  let min_time_results =
-    guarded_sweep ?sup ~site:"min-time" ~comp_domains
-      (function
-        | Dynamic p -> (
-            match sup with
-            | None -> (Local_solver.min_time_prepared ~alpha p, [])
-            | Some sup -> Local_solver.min_time_supervised ~sup ~alpha p)
-        | Fixed _ -> (0.0, []))
-      prepared
-  in
-  let min_times = List.map fst min_time_results in
-  pipeline_failures :=
-    !pipeline_failures @ List.concat_map snd min_time_results;
-  let bottleneck = List.fold_left Float.max 0.0 min_times in
-  Log.debug (fun m ->
-      m "locality: %d components, bottleneck evolution time %.4g"
-        (List.length comps) bottleneck);
-  if bottleneck = infinity then
-    warnings := "some component is infeasible at any evolution time" :: !warnings;
-  let t_base =
-    if bottleneck = infinity || bottleneck = 0.0 then options.time_floor
-    else Float.max options.time_floor bottleneck
-  in
-  let t_start = if options.time_opt then t_base else t_base *. options.no_opt_padding in
-  (* stage 4: solve localized systems, iterating T upward while the
-     runtime-fixed layout violates device geometry (paper §5.2).  The
-     retry loop is hard-bounded: exhausting [max_constraint_iters]
-     produces a classified [Position_retry_exhausted] failure (and the
-     best layout found), never an unbounded spin. *)
-  !stage_hook "local-solve";
-  let retry_fault = fault_fires "constraint-loop" = Some Fault.Retry in
-  let rec attempt t iter =
-    let env, eps2s, solve_failures =
-      solve_components ?sup ~vars ~comp_domains ~fixed_domains ~alpha ~t_sim:t
-        prepared
-    in
-    let violations =
-      if retry_fault then
-        [ "injected fault: constraint-loop=retry forces a violation" ]
-      else aais.Aais.check_fixed env
-    in
-    let expired =
-      match sup with
-      | None -> false
-      | Some s -> Supervisor.site_expired s ~site:"constraint-loop" ~component:(-1)
-    in
-    if violations = [] || iter >= options.max_constraint_iters || expired
-    then begin
-      if violations <> [] then begin
-        let reason =
-          if iter >= options.max_constraint_iters then
-            Printf.sprintf
-              "layout constraints unresolved after %d iterations: %s" iter
-              (String.concat "; " violations)
-          else
-            Printf.sprintf
-              "deadline expired with layout constraints unresolved after %d \
-               iterations: %s"
-              iter
-              (String.concat "; " violations)
-        in
-        warnings := reason :: !warnings;
-        pipeline_failures :=
-          !pipeline_failures
-          @ [
-              Failure.make ~component:(-1) ~site:"constraint-loop" ~stage:""
-                ~fatal:false
-                ~class_:
-                  (if iter >= options.max_constraint_iters then
-                     Failure.Position_retry_exhausted
-                   else Failure.Deadline_expired)
-                reason;
-            ]
-      end;
-      (t, env, eps2s, solve_failures, iter)
-    end
-    else attempt (t *. options.dt_factor) (iter + 1)
-  in
-  let t_sim, env, eps2s, solve_failures, constraint_iterations =
-    attempt t_start 0
-  in
-  Log.debug (fun m ->
-      m "localized systems solved at T = %.4g after %d constraint iterations"
-        t_sim constraint_iterations);
-  (* stage 5: iterative refinement (§6.2) — re-solve the runtime-dynamic
-     channels against the residual left by the achieved fixed channels *)
-  let achieved = alpha_achieved_of_env ~domains ~channels ~env ~t_sim in
-  let refine_expired =
-    match sup with
-    | None -> false
-    | Some s -> Supervisor.site_expired s ~site:"refine" ~component:(-1)
-  in
-  if options.refine && refine_expired then
-    pipeline_failures :=
-      !pipeline_failures
-      @ [
-          Failure.make ~component:(-1) ~site:"refine" ~stage:"" ~fatal:false
-            ~class_:Failure.Deadline_expired
-            "deadline expired before refinement; returning unrefined result";
-        ];
-  let refine_failures = ref [] in
-  let env, eps2s =
-    if (not options.refine) || refine_expired then (env, eps2s)
-    else begin
-      let fixed_cid = Array.make (Array.length channels) false in
-      List.iter2
-        (fun comp cls ->
-          match cls with
-          | Local_solver.Fixed_vars ->
-              List.iter
-                (fun cid -> fixed_cid.(cid) <- true)
-                comp.Locality.channel_ids
-          | Local_solver.Const_channels | Local_solver.Linear _
-          | Local_solver.Polar _ | Local_solver.Generic ->
-              ())
-        comps classifications;
-      (* residual RHS: move the achieved fixed-channel contributions over *)
-      let rows = Array.of_list (Linear_system.rows ls) in
-      let adjusted_rows =
-        Array.to_list
-          (Array.map
-             (fun { Qturbo_linalg.Sparse_solve.cells; rhs } ->
-               let fixed_part =
-                 List.fold_left
-                   (fun acc (cid, coeff) ->
-                     if fixed_cid.(cid) then acc +. (coeff *. achieved.(cid))
-                     else acc)
-                   0.0 cells
-               in
-               {
-                 Qturbo_linalg.Sparse_solve.cells =
-                   List.filter (fun (cid, _) -> not fixed_cid.(cid)) cells;
-                 rhs = rhs -. fixed_part;
-               })
-             rows)
-      in
-      let refined =
-        Qturbo_linalg.Sparse_solve.solve ~ncols:(Array.length channels)
-          adjusted_rows
-      in
-      let alpha_refined = refined.Qturbo_linalg.Sparse_solve.x in
-      (* keep the fixed channels' original targets for eps accounting *)
-      Array.iteri
-        (fun cid is_fixed -> if is_fixed then alpha_refined.(cid) <- alpha.(cid))
-        fixed_cid;
-      (* re-solve only the dynamic components at the same T; solves run
-         on the pool, assignments apply in component order as above *)
-      let env = Array.copy env in
-      let resolved =
-        guarded_sweep ?sup ~site:"refine" ~comp_domains
-          (fun (comp, p) ->
-            match p with
-            | Fixed _ ->
-                (* unchanged: recompute its eps2 against original targets *)
-                ( [],
-                  List.fold_left
-                    (fun acc cid ->
-                      acc +. Float.abs (achieved.(cid) -. alpha.(cid)))
-                    0.0 comp.Locality.channel_ids,
-                  [] )
-            | Dynamic p -> (
-                match sup with
-                | None ->
-                    let { Local_solver.assignments; eps2 } =
-                      Local_solver.solve_prepared ~alpha:alpha_refined ~t_sim p
-                    in
-                    (assignments, eps2, [])
-                | Some sup ->
-                    let { Local_solver.assignments; eps2 }, failures =
-                      Local_solver.solve_supervised ~sup ~alpha:alpha_refined
-                        ~t_sim p
-                    in
-                    (assignments, eps2, failures)))
-          (List.combine comps prepared)
-      in
-      refine_failures := List.concat_map (fun (_, _, fs) -> fs) resolved;
-      let eps2s =
-        List.map
-          (fun (assignments, eps2, _) ->
-            List.iter (fun (v, x) -> env.(v) <- x) assignments;
-            eps2)
-          resolved
-      in
-      (env, eps2s)
-    end
-  in
-  let alpha_achieved = alpha_achieved_of_env ~domains ~channels ~env ~t_sim in
-  let error_l1 = Linear_system.residual_l1 ls ~alpha:alpha_achieved in
+  let s = List.hd r.Segments.segments in
+  let ls = s.Segments.system in
   let b_norm =
     Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar
   in
-  let eps2_total = List.fold_left ( +. ) 0.0 eps2s in
+  let eps2_total = Array.fold_left ( +. ) 0.0 s.Segments.eps2s in
   let components =
-    List.map2
-      (fun (comp : Locality.component) (cls, (tmin, eps2)) ->
+    List.mapi
+      (fun i ((comp : Locality.component), cls) ->
         {
           classification = classification_name cls;
           channels = List.length comp.Locality.channel_ids;
           variables = List.length comp.Locality.var_ids;
-          min_time = tmin;
-          eps2;
+          min_time = s.Segments.min_times.(i);
+          eps2 = s.Segments.eps2s.(i);
         })
-      comps
-      (List.map2
-         (fun cls pair -> (cls, pair))
-         classifications
-         (List.combine min_times eps2s))
+      (List.combine plan.device.comps plan.device.classifications)
   in
-  (* failures, in pipeline order: evolution-time search and
-     pipeline-level records (constraint loop, refinement expiry), then
-     the final constraint-iteration solve sweep (component order — the
-     pool collects by index), then refinement re-solves *)
-  let failures = !pipeline_failures @ solve_failures @ !refine_failures in
-  let degraded = List.exists (fun f -> f.Failure.fatal) failures in
-  let best_effort =
-    match sup with Some s -> Supervisor.best_effort s | None -> false
-  in
-  if degraded && not best_effort then raise (Failure.Failed failures);
   let now = Qturbo_util.Clock.now () in
   let cache = Plan_cache.stats plan_cache in
   let kstats =
@@ -920,23 +954,23 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
     else Plan_cache.zero_key_stats
   in
   {
-    env;
-    t_sim;
-    alpha_target = alpha;
-    alpha_achieved;
-    error_l1;
+    env = s.Segments.env;
+    t_sim = s.Segments.duration;
+    alpha_target = s.Segments.alpha;
+    alpha_achieved = s.Segments.achieved;
+    error_l1 = s.Segments.error_l1;
     relative_error =
-      (if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0);
-    eps1;
+      (if b_norm > 0.0 then s.Segments.error_l1 /. b_norm *. 100.0 else 0.0);
+    eps1 = s.Segments.eps1;
     eps2_total;
-    theorem1_bound = (Linear_system.norm1 ls *. eps2_total) +. eps1;
+    theorem1_bound = (Linear_system.norm1 ls *. eps2_total) +. s.Segments.eps1;
     components;
-    constraint_iterations;
+    constraint_iterations = r.Segments.constraint_iterations;
     compile_seconds = now -. t0;
-    warnings = List.rev !warnings;
-    diagnostics;
-    failures;
-    degraded;
+    warnings = r.Segments.warnings;
+    diagnostics = r.Segments.diagnostics;
+    failures = r.Segments.failures;
+    degraded = r.Segments.degraded;
     plan =
       {
         cache_enabled = options.plan_cache;

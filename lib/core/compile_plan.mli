@@ -40,7 +40,6 @@ type options = {
   dense_linear_solver : bool;  (** ablation: skip the greedy pass *)
   generic_local_solver : bool;  (** ablation: force Nelder–Mead *)
   domains : int;  (** worker domains for parallel sections *)
-  supervise : bool;  (** run solves under the fallback supervisor *)
   best_effort : bool;  (** degrade instead of raising on fatal failure *)
   deadline_seconds : float option;
   faults : Fault.spec option;  (** fault injection (tests/CI) *)
@@ -143,9 +142,9 @@ val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
 (** The structural cache key this target would compile under.  Equal
     keys ⇒ interchangeable plans; coefficients do not contribute. *)
 
-val build_device : ?options:options -> aais:Aais.t -> unit -> device
 val obtain_device : options:options -> aais:Aais.t -> device
-(** Cache-aware variant ([options.plan_cache = false] builds fresh). *)
+(** The device part for [aais], through the device cache
+    ([options.plan_cache = false] builds it fresh). *)
 
 val build :
   ?options:options ->
@@ -179,6 +178,16 @@ val obtain_for_support :
     compile every segment of a sweep against the {e union} support of
     all segments, so coefficient cancellations in individual segments
     cannot fork a second plan shape. *)
+
+val structure_rows :
+  index:Term_index.t ->
+  cells:(int * float) list array ->
+  Qturbo_analysis.Structure.row list
+(** The generic row view the structure pass of [qturbo.analysis] takes. *)
+
+val structure_comps :
+  Locality.component list -> Qturbo_analysis.Structure.comp list
+(** The generic component view of a locality decomposition. *)
 
 (** {1 Plan linting}
 
@@ -217,6 +226,67 @@ val validate_t_tar : who:string -> float -> unit
     {!Diagnostic.Rejected} with a [QT016] diagnostic; [t_tar <= 0.0]
     raises [Invalid_argument "<who>: t_tar <= 0"]. *)
 
+module Segments : sig
+  type segment = {
+    env : float array;  (** value of every AAIS variable *)
+    duration : float;  (** compiled duration of this segment *)
+    alpha : float array;  (** linear-system solution per channel *)
+    achieved : float array;  (** [expr(env)·duration] per channel *)
+    error_l1 : float;  (** [‖B_sim − B_tar‖₁] of this segment *)
+    eps1 : float;  (** linear-system residual *)
+    system : Linear_system.t;  (** the instantiated system *)
+    min_times : float array;  (** per locality component ([0.] if fixed) *)
+    eps2s : float array;  (** per locality component *)
+  }
+
+  type t = {
+    segments : segment list;
+    binding_segment : int;  (** the segment the layout was solved for *)
+    constraint_iterations : int;
+    warnings : string list;
+    diagnostics : Diagnostic.t list;
+        (** precheck findings over all segments, deduplicated by
+            (code, subject) *)
+    failures : Failure.t list;  (** in pipeline order *)
+    degraded : bool;
+  }
+end
+
+val solve_segments :
+  options:options ->
+  strict:bool ->
+  ?t_max:float ->
+  plan:t ->
+  targets:Pauli_sum.t list ->
+  tau_tar:float ->
+  unit ->
+  Segments.t
+(** The numeric back-end, segment-indexed (paper §5.3): a static
+    compile is one segment.  Every target (one per piecewise-constant
+    segment, each evolving for [tau_tar]) must lie inside the plan's
+    shape.  Stages, each run once over all segments:
+
+    + precheck every segment with the static analyzer (with [strict],
+      error-severity findings raise {!Diagnostic.Rejected} before any
+      solver runs);
+    + per-segment global linear solves;
+    + evolution-time search: per segment, the largest of its
+      components' shortest feasible times (padded by
+      [no_opt_padding] when [time_opt] is off);
+    + the runtime-fixed layout, shared by all segments and solved
+      against the {e binding segment} — the one demanding the largest
+      fixed-channel amplitude — with [T] grown by [dt_factor] while the
+      layout violates device geometry (§5.2);
+    + per-segment duration: a single segment runs at the layout's [T];
+      with several, each segment is stretched so the shared layout
+      integrates to its required [B], never below its dynamic
+      bottleneck, and the binding segment never below the layout's [T];
+    + per-segment refinement (§6.2) and dynamic-component solves.
+
+    Every solve runs under the {!Supervisor} escalation ladder; if a
+    component exhausts every stage this raises {!Failure.Failed}
+    unless [options.best_effort] is set. *)
+
 val solve :
   ?options:options ->
   ?strict:bool ->
@@ -227,13 +297,11 @@ val solve :
   t_tar:float ->
   unit ->
   result
-(** Run the numeric back-end: instantiate the right-hand side from
-    [coeffs], precheck, global linear solve, evolution-time search,
-    constraint iteration, refinement.  Bitwise-identical to the
-    monolithic pre-plan pipeline.  [coeffs] must lie inside the plan's
-    shape (terms outside it raise [Invalid_argument]); extra shape rows
-    simply get a zero target.  [?provenance] (default [Built]) only
-    annotates [result.plan]. *)
+(** {!solve_segments} for one segment, repackaged with the
+    per-component summary and plan provenance.  [coeffs] must lie
+    inside the plan's shape (terms outside it raise
+    [Invalid_argument]); extra shape rows simply get a zero target.
+    [?provenance] (default [Built]) only annotates [result.plan]. *)
 
 val compile :
   ?options:options ->

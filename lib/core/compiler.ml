@@ -19,7 +19,6 @@ type options = Compile_plan.options = {
   dense_linear_solver : bool;
   generic_local_solver : bool;
   domains : int;
-  supervise : bool;
   best_effort : bool;
   deadline_seconds : float option;
   faults : Fault.spec option;
@@ -80,38 +79,15 @@ let b_tar_norm1 ~aais ~target ~t_tar =
   let ls = Linear_system.build ~channels ~target ~t_tar in
   Array.fold_left (fun acc b -> acc +. Float.abs b) 0.0 ls.Linear_system.b_tar
 
-(* The structure pass of [qturbo.analysis] takes a generic view of the
-   system; convert our [Linear_system] rows and [Locality] components. *)
-let structure_view ~ls ~comps =
-  let rows =
-    List.mapi
-      (fun i { Qturbo_linalg.Sparse_solve.cells; _ } ->
-        {
-          Qturbo_analysis.Structure.term =
-            Term_index.string_of ls.Linear_system.index i;
-          cells;
-        })
-      (Linear_system.rows ls)
-  in
-  let comps =
-    List.map
-      (fun (c : Locality.component) ->
-        {
-          Qturbo_analysis.Structure.id = c.Locality.id;
-          channel_ids = c.Locality.channel_ids;
-          var_ids = c.Locality.var_ids;
-        })
-      comps
-  in
-  (rows, comps)
-
 let diagnostics_of ?t_max ~aais ~target ~t_tar ~ls ~comps () =
   let channels = Aais.channels aais in
   let vars = Aais.variables aais in
-  let rows, scomps = structure_view ~ls ~comps in
   Qturbo_analysis.Analysis.static_checks ~aais ~target ~t_tar ?t_max ()
-  @ Qturbo_analysis.Structure.check ~channels ~variables:vars ~rows
-      ~comps:scomps
+  @ Qturbo_analysis.Structure.check ~channels ~variables:vars
+      ~rows:
+        (Compile_plan.structure_rows ~index:ls.Linear_system.index
+           ~cells:ls.Linear_system.cells)
+      ~comps:(Compile_plan.structure_comps comps)
 
 let analyze ?t_max ~aais ~target ~t_tar () =
   let channels = Aais.channels aais in

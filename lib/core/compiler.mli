@@ -41,13 +41,6 @@ type options = Compile_plan.options = {
           {!Qturbo_par.Pool.default_domains} — i.e. [QTURBO_DOMAINS] when
           set, else cores − 1.  [1] runs fully sequentially; results are
           bitwise-identical either way. *)
-  supervise : bool;
-      (** run every component solve under the
-          {!Qturbo_resilience.Supervisor} escalation ladder (default
-          true).  On a clean compile the supervised path issues exactly
-          the same solver calls as the unsupervised one, so results are
-          bitwise-identical; it only changes behaviour on hard solver
-          failure, injected faults, or an expired deadline. *)
   best_effort : bool;
       (** when a component fails every ladder stage, carry the failure on
           [result.failures] (with [degraded = true]) instead of raising
@@ -181,11 +174,11 @@ val compile :
     Warning-severity findings are additionally rendered into
     [result.warnings].
 
-    With [options.supervise] (the default), component solves run under
-    the resilience escalation ladder; if a component exhausts every
-    stage the compile raises {!Qturbo_resilience.Failure.Failed} unless
-    [options.best_effort] is set, in which case the degraded result is
-    returned with the classified records on [result.failures]. *)
+    Component solves run under the resilience escalation ladder; if a
+    component exhausts every stage the compile raises
+    {!Qturbo_resilience.Failure.Failed} unless [options.best_effort] is
+    set, in which case the degraded result is returned with the
+    classified records on [result.failures]. *)
 
 val compile_batch :
   ?options:options ->

@@ -113,7 +113,7 @@ let par_threshold = 32_768
    the near-linear solve. *)
 let sparse_threshold = 256
 
-let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
+let solve_supervised ?(domains = 1) ~sup ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
       (Printf.sprintf "Fixed_solver.solve: t_sim <= 0 (component %d)"
@@ -138,13 +138,13 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
           -. alpha.(Array.unsafe_get cids i))
     end
     else begin
-      let r = Array.make n_rows 0.0 in
-      Qturbo_par.Pool.parallel_for ~domains:row_domains ~total:n_rows (fun i ->
-          let cid = Array.unsafe_get cids i in
-          r.(i) <-
-            (Instruction.eval_channel channels.(cid) ~env:scratch *. t_sim)
-            -. alpha.(cid));
-      r
+    let r = Array.make n_rows 0.0 in
+    Qturbo_par.Pool.parallel_for ~domains:row_domains ~total:n_rows (fun i ->
+        let cid = Array.unsafe_get cids i in
+        r.(i) <-
+          (Instruction.eval_channel channels.(cid) ~env:scratch *. t_sim)
+          -. alpha.(cid));
+    r
     end
   in
   let cost x =
@@ -222,24 +222,15 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
          csr)
   in
   let report, solve_failures =
-    match (sup, use_sparse) with
-    | None, false ->
-        ( Levenberg_marquardt.minimize ~jacobian:(Lazy.force jacobian_dense)
-            residual_ext x0_ext,
-          [] )
-    | None, true ->
-        ( Levenberg_marquardt.minimize_sparse
-            ~jacobian:(Lazy.force jacobian_sparse) residual_ext x0_ext,
-          [] )
-    | Some sup, false ->
-        let outcome =
-          Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
-            ~component:p.comp.Locality.id ~jacobian:(Lazy.force jacobian_dense)
-            ~bounds:p.bounds residual_ext x0_ext
-        in
-        ( outcome.Qturbo_resilience.Supervisor.report,
-          outcome.Qturbo_resilience.Supervisor.failures )
-    | Some sup, true ->
+    if not use_sparse then
+      let outcome =
+        Qturbo_resilience.Supervisor.solve sup ~site:"fixed-solve"
+          ~component:p.comp.Locality.id ~jacobian:(Lazy.force jacobian_dense)
+          ~bounds:p.bounds residual_ext x0_ext
+      in
+      ( outcome.Qturbo_resilience.Supervisor.report,
+        outcome.Qturbo_resilience.Supervisor.failures )
+    else begin
         (* Large components bypass the escalation ladder: Nelder–Mead is
            skipped above ~40 dimensions anyway and a multistart over
            thousands of coordinates would dwarf the compile.  The
@@ -281,6 +272,7 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
             ]
         in
         (report, failures)
+    end
   in
   let x_ext =
     Array.mapi (fun k x -> Bounds.clamp p.bounds.(k) x) report.Objective.x
@@ -291,11 +283,7 @@ let solve_impl ?(domains = 1) ?sup ~alpha ~t_sim p =
   ( { assignments = free_assignments @ p.pinned; eps2 },
     prefit_failures @ solve_failures )
 
-let solve_prepared ?domains ~alpha ~t_sim p =
-  fst (solve_impl ?domains ~alpha ~t_sim p)
-
-let solve_supervised ?domains ~sup ~alpha ~t_sim p =
-  solve_impl ?domains ~sup ~alpha ~t_sim p
-
 let solve ?domains ~vars ~channels ~alpha ~t_sim comp =
-  solve_prepared ?domains ~alpha ~t_sim (prepare ~vars ~channels comp)
+  fst
+    (solve_supervised ?domains ~sup:Qturbo_resilience.Supervisor.none ~alpha
+       ~t_sim (prepare ~vars ~channels comp))

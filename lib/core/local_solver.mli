@@ -62,35 +62,29 @@ val prepare :
 
 val classification_of : prepared -> classification
 
-val min_time_prepared : alpha:float array -> prepared -> float
-(** {!min_time} against a prepared component. *)
-
-val solve_prepared : alpha:float array -> t_sim:float -> prepared -> solution
-(** {!solve_at} against a prepared component. *)
-
 val solve_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
   t_sim:float ->
   prepared ->
   solution * Qturbo_resilience.Failure.t list
-(** {!solve_prepared} with the generic LM path run under the resilience
-    escalation ladder (site ["local-solve"], the component's locality id).
-    Closed-form classifications are direct arithmetic and bypass the
-    ladder.  Under [Supervisor.none] the result is bitwise-identical to
-    {!solve_prepared}; on a hard solver failure the returned solution
-    keeps the initial iterate (clamped into bounds) and the failure list
-    says why. *)
+(** {!solve_at} against a prepared component, with the generic LM path
+    run under the resilience escalation ladder (site ["local-solve"], the
+    component's locality id).  Closed-form classifications are direct
+    arithmetic and bypass the ladder.  Under [Supervisor.none] the result
+    is bitwise-identical to {!solve_at}; on a hard solver failure the
+    returned solution keeps the initial iterate (clamped into bounds) and
+    the failure list says why. *)
 
 val min_time_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
   prepared ->
   float * Qturbo_resilience.Failure.t list
-(** {!min_time_prepared}, additionally reporting a non-fatal
-    [Non_convergence] record when the generic path's [T] bisection (or
-    bracket doubling) stops before reaching its tolerance, and
-    [Deadline_expired] when the supervision deadline has already
+(** {!min_time} against a prepared component, additionally reporting a
+    non-fatal [Non_convergence] record when the generic path's [T]
+    bisection (or bracket doubling) stops before reaching its tolerance,
+    and [Deadline_expired] when the supervision deadline has already
     passed. *)
 
 val min_time :

@@ -1,14 +1,17 @@
 (** Compilation of time-dependent targets (paper §5.3).
 
     The driven Hamiltonian is discretized into piecewise-constant segments
-    (midpoint rule).  Runtime-dynamic variables may change between
-    segments, but runtime-fixed variables (atom positions) must be shared:
-    the solver picks the segment demanding the largest fixed-channel
-    amplitude as the {e binding segment}, solves the layout against it,
-    and stretches every other segment's evolution time so its (now
-    over-strong) fixed amplitudes integrate to exactly the required
-    [B] — lowering the dynamic amplitudes, which always remains within
-    bounds (paper's argument at the end of §5.3). *)
+    (midpoint rule) and compiled by the shared segment-indexed back end,
+    {!Compile_plan.solve_segments}; this module discretizes and
+    repackages around it.
+    Runtime-dynamic variables may change between segments, but
+    runtime-fixed variables (atom positions) are shared: the back end
+    picks the segment demanding the largest fixed-channel amplitude as
+    the {e binding segment}, solves the layout against it, and stretches
+    every other segment's evolution time so its (now over-strong) fixed
+    amplitudes integrate to exactly the required [B] — lowering the
+    dynamic amplitudes, which always remains within bounds (paper's
+    argument at the end of §5.3). *)
 
 type segment_result = {
   env : float array;
@@ -63,23 +66,23 @@ val compile :
     {!Qturbo_analysis.Diagnostic.Rejected} with a structured [QT016]
     diagnostic instead of an unclassified exception.
 
-    [~segments:1] delegates to the staged time-independent pipeline
-    ({!Compile_plan.compile}) — a single-segment compile is
-    bitwise-identical to {!Compiler.compile} of the discretized
-    Hamiltonian.  With more segments, the target-independent plan
-    artifacts (locality decomposition, classifications — including the
-    [generic_local_solver] override — and prepared solver contexts) are
-    shared across all segments, and segments of equal shape share one
-    linear-system skeleton.
+    Every segment compiles against one plan, keyed by the union support
+    of all discretized segments, through the same back end as
+    {!Compiler.compile}: a single segment {e is} a static compile of
+    the discretized Hamiltonian, and every option (evolution-time
+    padding, the dense linear solver, refinement, supervision) applies
+    to every segment.  With more than one segment, each segment's
+    duration is stretched so the shared layout integrates to its
+    required [B]; the binding segment additionally never runs faster
+    than the layout's (constraint-iterated) [T].
 
     Every discretized segment Hamiltonian runs through the pre-solve
     static analyzer first; with [strict] (the default) error-severity
     diagnostics raise {!Qturbo_analysis.Diagnostic.Rejected} before any
     solver runs.
 
-    With [options.supervise] (the default), the binding-layout and
-    per-segment solves run under the resilience escalation ladder; if a
-    component exhausts every stage the compile raises
-    {!Qturbo_resilience.Failure.Failed} unless [options.best_effort] is
-    set, in which case the degraded result is returned with the
-    classified records on [result.failures]. *)
+    The binding-layout and per-segment solves run under the resilience
+    escalation ladder; if a component exhausts every stage the compile
+    raises {!Qturbo_resilience.Failure.Failed} unless
+    [options.best_effort] is set, in which case the degraded result is
+    returned with the classified records on [result.failures]. *)

@@ -40,7 +40,6 @@ let known_sites =
     "fixed-solve";
     "min-time";
     "constraint-loop";
-    "segment-loop";
     "refine";
   ]
 

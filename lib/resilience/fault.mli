@@ -10,7 +10,7 @@
 clause        = site [ "#" component ] "=" kind
 site          = "lm" | "lm-retry" | "nelder-mead" | "multistart"
               | "local-solve" | "fixed-solve" | "min-time"
-              | "constraint-loop" | "segment-loop" | "refine" | "*"
+              | "constraint-loop" | "refine" | "*"
 kind          = "nan" | "budget" | "deadline" | "singular" | "retry" v}
 
     Examples: [lm=nan] makes the first ladder stage of every supervised

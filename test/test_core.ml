@@ -385,12 +385,26 @@ let test_compiler_refine_improves () =
   Alcotest.(check bool) "refinement reduces error" true
     (r_refined.Compiler.error_l1 <= r_plain.Compiler.error_l1 +. 1e-12)
 
+(* a four-segment driven compile: the options must reach every segment *)
+let mis4_model = Qturbo_models.Benchmarks.mis_chain ~n:4 ()
+
+let compile_mis4 ?options () =
+  let spec = { Device.aquila_paper with Device.max_extent = 1e6 } in
+  let ryd = Rydberg.build ~spec ~n:4 in
+  ( ryd,
+    Td_compiler.compile ?options ~aais:ryd.Rydberg.aais ~model:mis4_model
+      ~t_tar:1.0 ~segments:4 () )
+
 let test_compiler_time_opt_ablation () =
   let options = { Compiler.default_options with Compiler.time_opt = false } in
   let _, r_no = compile_ising3 ~options () in
   let _, r_yes = compile_ising3 () in
   Alcotest.(check bool) "padded time longer" true
-    (r_no.Compiler.t_sim > r_yes.Compiler.t_sim *. 2.0)
+    (r_no.Compiler.t_sim > r_yes.Compiler.t_sim *. 2.0);
+  let _, td_no = compile_mis4 ~options () in
+  let _, td_yes = compile_mis4 () in
+  Alcotest.(check bool) "padded segmented time longer" true
+    (td_no.Td_compiler.t_sim > td_yes.Td_compiler.t_sim *. 2.0)
 
 let test_compiler_generic_local_ablation_same_answer () =
   (* the generic LM+bisection path must agree with the analytic patterns *)
@@ -408,7 +422,27 @@ let test_compiler_dense_ablation_same_answer () =
   let _, r_dense = compile_ising3 ~options () in
   let _, r_greedy = compile_ising3 () in
   check_close "same T" 1e-9 r_greedy.Compiler.t_sim r_dense.Compiler.t_sim;
-  check_close "same error" 1e-6 r_greedy.Compiler.error_l1 r_dense.Compiler.error_l1
+  check_close "same error" 1e-6 r_greedy.Compiler.error_l1 r_dense.Compiler.error_l1;
+  let ryd, td_dense = compile_mis4 ~options () in
+  let _, td_greedy = compile_mis4 () in
+  check_close "same segmented T" 1e-6 td_greedy.Td_compiler.t_sim
+    td_dense.Td_compiler.t_sim;
+  check_close "same segmented error" 1e-6 td_greedy.Td_compiler.error_l1
+    td_dense.Td_compiler.error_l1;
+  (* every segment's eps1 is the dense solver's residual, bit for bit *)
+  let channels = Aais.channels ryd.Rydberg.aais in
+  List.iter2
+    (fun h (seg : Td_compiler.segment_result) ->
+      let ls = Linear_system.build ~channels ~target:h ~t_tar:0.25 in
+      let dense =
+        (Linear_system.solve_dense ls).Qturbo_linalg.Sparse_solve.residual_l1
+      in
+      let eps1 = seg.Td_compiler.eps1 in
+      if not (Int64.equal (Int64.bits_of_float dense) (Int64.bits_of_float eps1))
+      then
+        Alcotest.failf "segment eps1 %h is not the dense residual %h" eps1 dense)
+    (Qturbo_models.Model.discretize mis4_model ~segments:4)
+    td_dense.Td_compiler.segments
 
 let test_compiler_t_tar_scales () =
   let ryd = rydberg3 () in

@@ -216,21 +216,21 @@ let compile ~options n =
     ~target:(static_target n) ~t_tar:1.0 ()
 
 let test_supervised_compile_matches_seed () =
-  (* no faults, no deadline: the supervised pipeline must be
-     bitwise-identical to the unsupervised one *)
-  let r_sup = compile ~options:(compile_opts ()) 5 in
-  let r_raw =
-    compile
-      ~options:
-        { (compile_opts ()) with Qturbo_core.Compiler.supervise = false }
-      5
+  (* no faults, no deadline: the supervised pipeline must reproduce the
+     golden Rydberg ising-chain n = 5 compile bit for bit *)
+  let golden =
+    List.find
+      (fun (c : Golden_values.static_case) ->
+        c.backend = "rydberg" && c.device = None && c.model = "ising-chain"
+        && c.n = 5)
+      Golden_values.static_cases
   in
-  check_bits_array "env" r_raw.Qturbo_core.Compiler.env
-    r_sup.Qturbo_core.Compiler.env;
-  Alcotest.(check bool) "t_sim" true
-    (Int64.equal
-       (bits r_raw.Qturbo_core.Compiler.t_sim)
-       (bits r_sup.Qturbo_core.Compiler.t_sim));
+  let r_sup = compile ~options:(compile_opts ()) 5 in
+  Alcotest.(check (list string)) "env"
+    golden.Golden_values.env
+    (Array.to_list (Array.map (Printf.sprintf "%h") r_sup.Qturbo_core.Compiler.env));
+  Alcotest.(check string) "t_sim" golden.Golden_values.t_sim
+    (Printf.sprintf "%h" r_sup.Qturbo_core.Compiler.t_sim);
   Alcotest.(check (list pass)) "no failures" []
     r_sup.Qturbo_core.Compiler.failures;
   Alcotest.(check bool) "not degraded" false
