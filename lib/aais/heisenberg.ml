@@ -77,26 +77,20 @@ let build ~spec ~n =
   { aais; spec; n; singles; pairs }
 
 let hamiltonian t ~env =
-  let h = ref Pauli_sum.zero in
-  Array.iteri
-    (fun i per_op ->
-      Array.iteri
-        (fun p v ->
-          let a = env.(v.Variable.id) in
-          if a <> 0.0 then
-            h := Pauli_sum.add_term !h (Pauli_string.single i pauli_ops.(p)) a)
-        per_op)
-    t.singles;
-  List.iter
-    (fun (i, j, vars) ->
-      Array.iteri
-        (fun p v ->
-          let a = env.(v.Variable.id) in
-          if a <> 0.0 then
-            h :=
-              Pauli_sum.add_term !h
-                (Pauli_string.two i pauli_ops.(p) j pauli_ops.(p))
-                a)
-        vars)
-    t.pairs;
-  !h
+  let singles =
+    Array.to_list t.singles
+    |> List.mapi (fun i per_op ->
+           Array.to_list per_op
+           |> List.mapi (fun p v ->
+                  (Pauli_string.single i pauli_ops.(p), env.(v.Variable.id))))
+  in
+  let pairs =
+    List.map
+      (fun (i, j, vars) ->
+        Array.to_list vars
+        |> List.mapi (fun p v ->
+               ( Pauli_string.two i pauli_ops.(p) j pauli_ops.(p),
+                 env.(v.Variable.id) )))
+      t.pairs
+  in
+  Pauli_sum.of_list (List.concat (singles @ pairs))

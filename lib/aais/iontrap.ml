@@ -171,15 +171,18 @@ let hamiltonian_of_pulse ~omega ~phi ~mu ~couplings () =
   let n = Array.length omega in
   if Array.length phi <> n || Array.length mu <> n then
     invalid_arg "Iontrap.hamiltonian_of_pulse: per-ion array lengths";
-  let h = ref Pauli_sum.zero in
-  let add c s = if c <> 0.0 then h := Pauli_sum.add_term !h s c in
-  List.iter (fun (i, j, op, a) -> add a (Pauli_string.two i op j op)) couplings;
-  for i = 0 to n - 1 do
-    add mu.(i) (Pauli_string.single i Pauli.Z);
-    add (omega.(i) /. 2.0 *. cos phi.(i)) (Pauli_string.single i Pauli.X);
-    add (-.(omega.(i) /. 2.0) *. sin phi.(i)) (Pauli_string.single i Pauli.Y)
-  done;
-  !h
+  let pairs =
+    List.map (fun (i, j, op, a) -> (Pauli_string.two i op j op, a)) couplings
+  in
+  let singles =
+    List.init n (fun i ->
+        [
+          (Pauli_string.single i Pauli.Z, mu.(i));
+          (Pauli_string.single i Pauli.X, omega.(i) /. 2.0 *. cos phi.(i));
+          (Pauli_string.single i Pauli.Y, -.(omega.(i) /. 2.0) *. sin phi.(i));
+        ])
+  in
+  Pauli_sum.of_list (pairs @ List.concat singles)
 
 let hamiltonian t ~env =
   hamiltonian_of_pulse

@@ -432,24 +432,33 @@ let hamiltonian_of_pulse ?cutoff_radius ~spec ~positions ~omega ~phi ~delta () =
     | None -> fun _ -> true
     | Some r -> fun d2 -> d2 <= r *. r
   in
-  let h = ref Pauli_sum.zero in
-  let add c s = h := Pauli_sum.add_term !h s c in
+  (* Terms are emitted in canonical order (X_i, Y_i, Z_i, then Z_iZ_j for
+     j > i) so [Pauli_sum.of_list] skips its sort.  Z_i accumulates in
+     [z] in the order a term-by-term build would add to it: the pair
+     shifts from rows j < i, then row i's own, then the detuning; row i's
+     pair terms wait in [row] until Z_i is complete. *)
+  let z = Array.make n 0.0 in
+  let terms = ref [] in
+  let emit c s = terms := (s, c) :: !terms in
   for i = 0 to n - 1 do
+    let row = ref [] in
     for j = i + 1 to n - 1 do
       let xi, yi = positions.(i) and xj, yj = positions.(j) in
       let d2 = ((xi -. xj) ** 2.0) +. ((yi -. yj) ** 2.0) in
       if keep d2 then begin
         let a = spec.Device.c6 /. (4.0 *. (d2 ** 3.0)) in
-        add a (Pauli_string.two i Pauli.Z j Pauli.Z);
-        add (-.a) (Pauli_string.single i Pauli.Z);
-        add (-.a) (Pauli_string.single j Pauli.Z)
+        row := (Pauli_string.two i Pauli.Z j Pauli.Z, a) :: !row;
+        z.(i) <- z.(i) +. -.a;
+        z.(j) <- z.(j) +. -.a
       end
     done;
-    add (delta.(i) /. 2.0) (Pauli_string.single i Pauli.Z);
-    add (omega.(i) /. 2.0 *. cos phi.(i)) (Pauli_string.single i Pauli.X);
-    add (-.(omega.(i) /. 2.0) *. sin phi.(i)) (Pauli_string.single i Pauli.Y)
+    z.(i) <- z.(i) +. (delta.(i) /. 2.0);
+    emit (omega.(i) /. 2.0 *. cos phi.(i)) (Pauli_string.single i Pauli.X);
+    emit (-.(omega.(i) /. 2.0) *. sin phi.(i)) (Pauli_string.single i Pauli.Y);
+    emit z.(i) (Pauli_string.single i Pauli.Z);
+    terms := !row @ !terms
   done;
-  !h
+  Pauli_sum.of_list (List.rev !terms)
 
 let hamiltonian t ~env =
   let k i =

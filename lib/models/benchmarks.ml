@@ -15,6 +15,13 @@ let zz_terms pairs coeff =
 let single_terms n op coeff =
   List.init n (fun i -> (Pauli_string.single i op, coeff))
 
+(* [base + Σ k·o] over [ops] in one bulk build; bitwise equal to folding
+   [Pauli_sum.add] over the scaled operators *)
+let add_scaled base k ops =
+  sum_terms
+    (Pauli_sum.terms base
+    @ List.concat_map (fun o -> Pauli_sum.terms (Pauli_sum.scale k o)) ops)
+
 let ising_chain ?(j = 1.0) ?(h = 1.0) ~n () =
   check_n ~min:2 "ising_chain" n;
   Model.static ~name:"ising-chain" ~n
@@ -58,17 +65,14 @@ let heisenberg_chain ?(j = 1.0) ?(h = 1.0) ~n () =
 let mis_chain ?(u = 1.0) ?(omega = 1.0) ?(alpha = 1.0) ~n () =
   check_n ~min:2 "mis_chain" n;
   let static_part =
-    List.fold_left
-      (fun acc (i, k) -> Pauli_sum.add acc (Pauli_sum.scale alpha (Rydberg_ops.number_number i k)))
+    add_scaled
       (sum_terms (single_terms n Pauli.X (omega /. 2.0)))
-      (chain_pairs n)
+      alpha
+      (List.map (fun (i, k) -> Rydberg_ops.number_number i k) (chain_pairs n))
   in
   let at s =
     let detuning = (1.0 -. (2.0 *. s)) *. u in
-    List.fold_left
-      (fun acc i -> Pauli_sum.add acc (Pauli_sum.scale detuning (Rydberg_ops.number i)))
-      static_part
-      (List.init n Fun.id)
+    add_scaled static_part detuning (List.init n Rydberg_ops.number)
   in
   Model.driven ~name:"mis-chain" ~n at
 
@@ -109,9 +113,8 @@ let ising_grid ?(j = 1.0) ?(h = 1.0) ~rows ~cols () =
 let pxp ?(j = 1.0) ?(h = 1.0) ~n () =
   check_n ~min:2 "pxp" n;
   let blockade =
-    List.fold_left
-      (fun acc (i, k) -> Pauli_sum.add acc (Pauli_sum.scale j (Rydberg_ops.number_number i k)))
-      Pauli_sum.zero (chain_pairs n)
+    add_scaled Pauli_sum.zero j
+      (List.map (fun (i, k) -> Rydberg_ops.number_number i k) (chain_pairs n))
   in
   Model.static ~name:"pxp" ~n
     (Pauli_sum.add blockade (sum_terms (single_terms n Pauli.X h)))

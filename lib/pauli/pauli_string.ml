@@ -1,70 +1,139 @@
-module Site_map = Map.Make (Int)
+(* Packed representation: the non-identity sites in ascending order, each
+   entry [site * 4 + code] with [code] 1, 2, 3 for X, Y, Z.  Because a code
+   is below 4, comparing entries compares sites first and operators
+   second, so [compare] below is the lexicographic (site, op) order. *)
+type t = int array
 
-type t = Pauli.op Site_map.t
+let code = function Pauli.I -> 0 | Pauli.X -> 1 | Pauli.Y -> 2 | Pauli.Z -> 3
 
-let identity = Site_map.empty
+let op_of_code = function
+  | 1 -> Pauli.X
+  | 2 -> Pauli.Y
+  | 3 -> Pauli.Z
+  | _ -> Pauli.I
+
+let site e = e lsr 2
+let op e = op_of_code (e land 3)
+let pack i o = (i * 4) + code o
+let identity = [||]
 
 let of_list pairs =
-  List.fold_left
-    (fun acc (site, op) ->
-      if site < 0 then invalid_arg "Pauli_string.of_list: negative site";
-      match op with
-      | Pauli.I -> acc
-      | Pauli.X | Pauli.Y | Pauli.Z ->
-          if Site_map.mem site acc then
-            invalid_arg "Pauli_string.of_list: duplicate site";
-          Site_map.add site op acc)
-    Site_map.empty pairs
+  let entries =
+    List.filter_map
+      (fun (site, op) ->
+        if site < 0 then invalid_arg "Pauli_string.of_list: negative site";
+        match op with
+        | Pauli.I -> None
+        | Pauli.X | Pauli.Y | Pauli.Z -> Some (pack site op))
+      pairs
+    |> Array.of_list
+  in
+  Array.sort Int.compare entries;
+  for k = 1 to Array.length entries - 1 do
+    if site entries.(k) = site entries.(k - 1) then
+      invalid_arg "Pauli_string.of_list: duplicate site"
+  done;
+  entries
 
-let single i op = of_list [ (i, op) ]
+let single i o =
+  match o with
+  | Pauli.I -> of_list [ (i, o) ]
+  | Pauli.X | Pauli.Y | Pauli.Z ->
+      if i < 0 then invalid_arg "Pauli_string.of_list: negative site";
+      [| pack i o |]
 
 let two i a j b =
   if i = j then invalid_arg "Pauli_string.two: equal sites";
-  of_list [ (i, a); (j, b) ]
+  match (a, b) with
+  | (Pauli.X | Pauli.Y | Pauli.Z), (Pauli.X | Pauli.Y | Pauli.Z)
+    when i >= 0 && j >= 0 ->
+      if i < j then [| pack i a; pack j b |] else [| pack j b; pack i a |]
+  | _ -> of_list [ (i, a); (j, b) ]
 
-let to_list t = Site_map.bindings t
-let op_at t i = match Site_map.find_opt i t with Some op -> op | None -> Pauli.I
-let weight t = Site_map.cardinal t
-let support t = List.map fst (Site_map.bindings t)
-let max_site t = match Site_map.max_binding_opt t with Some (s, _) -> s | None -> -1
-let is_identity t = Site_map.is_empty t
+let to_list t = Array.to_list (Array.map (fun e -> (site e, op e)) t)
+
+let op_at t i =
+  let rec search lo hi =
+    if lo >= hi then Pauli.I
+    else
+      let mid = (lo + hi) / 2 in
+      let s = site t.(mid) in
+      if s = i then op t.(mid)
+      else if s < i then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length t)
+
+let weight t = Array.length t
+let support t = Array.to_list (Array.map site t)
+
+let max_site t =
+  let n = Array.length t in
+  if n = 0 then -1 else site t.(n - 1)
+
+let is_identity t = Array.length t = 0
 
 let mul a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
   let phase = ref Pauli.P1 in
-  let merged =
-    Site_map.merge
-      (fun _site oa ob ->
-        match (oa, ob) with
-        | None, None -> None
-        | Some o, None | None, Some o -> Some o
-        | Some o1, Some o2 ->
-            let p, o = Pauli.mul o1 o2 in
-            phase := Pauli.phase_mul !phase p;
-            (match o with Pauli.I -> None | Pauli.X | Pauli.Y | Pauli.Z -> Some o))
-      a b
+  let rec merge i j k =
+    if i = na then begin
+      Array.blit b j out k (nb - j);
+      k + nb - j
+    end
+    else if j = nb then begin
+      Array.blit a i out k (na - i);
+      k + na - i
+    end
+    else
+      let sa = site a.(i) and sb = site b.(j) in
+      if sa < sb then begin
+        out.(k) <- a.(i);
+        merge (i + 1) j (k + 1)
+      end
+      else if sb < sa then begin
+        out.(k) <- b.(j);
+        merge i (j + 1) (k + 1)
+      end
+      else
+        let p, o = Pauli.mul (op a.(i)) (op b.(j)) in
+        phase := Pauli.phase_mul !phase p;
+        match o with
+        | Pauli.I -> merge (i + 1) (j + 1) k
+        | Pauli.X | Pauli.Y | Pauli.Z ->
+            out.(k) <- pack sa o;
+            merge (i + 1) (j + 1) (k + 1)
   in
-  (!phase, merged)
+  let len = merge 0 0 0 in
+  (!phase, Array.sub out 0 len)
 
 let commutes a b =
-  let anticommuting_sites = ref 0 in
-  Site_map.iter
-    (fun site oa ->
-      let ob = op_at b site in
-      if not (Pauli.commutes oa ob) then incr anticommuting_sites)
-    a;
-  !anticommuting_sites mod 2 = 0
+  (* two non-identity operators on one site anticommute iff they differ *)
+  let na = Array.length a and nb = Array.length b in
+  let rec count i j acc =
+    if i = na || j = nb then acc
+    else
+      let sa = site a.(i) and sb = site b.(j) in
+      if sa < sb then count (i + 1) j acc
+      else if sb < sa then count i (j + 1) acc
+      else count (i + 1) (j + 1) (if a.(i) = b.(j) then acc else acc + 1)
+  in
+  count 0 0 0 mod 2 = 0
 
 let compare a b =
-  Site_map.compare Pauli.compare_op a b
+  let na = Array.length a and nb = Array.length b in
+  let rec go k =
+    if k = na then if k = nb then 0 else -1
+    else if k = nb then 1
+    else
+      let c = Int.compare a.(k) b.(k) in
+      if c <> 0 then c else go (k + 1)
+  in
+  go 0
 
 let equal a b = compare a b = 0
-
-let hash t =
-  Site_map.fold
-    (fun site op acc ->
-      let opi = match op with Pauli.I -> 0 | X -> 1 | Y -> 2 | Z -> 3 in
-      (acc * 1_000_003) + (site * 4) + opi)
-    t 17
+let hash t = Array.fold_left (fun acc e -> (acc * 1_000_003) + e) 17 t
 
 let of_string s =
   let pairs = ref [] in
@@ -83,6 +152,6 @@ let to_string ?n t =
 let pp ppf t =
   if is_identity t then Format.fprintf ppf "I"
   else
-    Site_map.iter
-      (fun site op -> Format.fprintf ppf "%s%d" (Pauli.op_to_string op) site)
+    Array.iter
+      (fun e -> Format.fprintf ppf "%s%d" (Pauli.op_to_string (op e)) (site e))
       t

@@ -249,6 +249,213 @@ let prop_sum_add_commutative =
       let a = Pauli_sum.term c1 s1 and b = Pauli_sum.term c2 s2 in
       Pauli_sum.equal ~tol:1e-12 (Pauli_sum.add a b) (Pauli_sum.add b a))
 
+(* ---- equivalence with the map-based reference ----
+
+   [Ref] keeps the representation the packed kernel replaced: a Pauli sum
+   as a persistent map keyed by string, built by folding [add_term].  The
+   packed kernel must agree with it bit for bit, order included. *)
+
+module Ref = struct
+  let op_int = function Pauli.I -> 0 | X -> 1 | Y -> 2 | Z -> 3
+
+  let compare_string a b =
+    List.compare
+      (fun (s1, o1) (s2, o2) -> compare (s1, op_int o1) (s2, op_int o2))
+      (Pauli_string.to_list a) (Pauli_string.to_list b)
+
+  let hash s =
+    List.fold_left
+      (fun acc (site, o) -> (acc * 1_000_003) + (site * 4) + op_int o)
+      17 (Pauli_string.to_list s)
+
+  module Term_map = Map.Make (struct
+    type t = Pauli_string.t
+
+    let compare = compare_string
+  end)
+
+  let add_term t s c =
+    if c = 0.0 then t
+    else
+      Term_map.update s
+        (fun existing ->
+          let total = match existing with Some x -> x +. c | None -> c in
+          if total = 0.0 then None else Some total)
+        t
+
+  let of_list pairs =
+    List.fold_left (fun acc (s, c) -> add_term acc s c) Term_map.empty pairs
+
+  let fold_into t f pairs =
+    List.fold_left (fun acc (s, c) -> add_term acc s (f c)) t pairs
+
+  (* the pre-packing Rydberg builder, one [add_term] per contribution *)
+  let rydberg ?cutoff_radius ~c6 ~positions ~omega ~phi ~delta () =
+    let n = Array.length positions in
+    let keep =
+      match cutoff_radius with
+      | None -> fun _ -> true
+      | Some r -> fun d2 -> d2 <= r *. r
+    in
+    let h = ref Term_map.empty in
+    let add c s = h := add_term !h s c in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let xi, yi = positions.(i) and xj, yj = positions.(j) in
+        let d2 = ((xi -. xj) ** 2.0) +. ((yi -. yj) ** 2.0) in
+        if keep d2 then begin
+          let a = c6 /. (4.0 *. (d2 ** 3.0)) in
+          add a (Pauli_string.two i Pauli.Z j Pauli.Z);
+          add (-.a) (Pauli_string.single i Pauli.Z);
+          add (-.a) (Pauli_string.single j Pauli.Z)
+        end
+      done;
+      add (delta.(i) /. 2.0) (Pauli_string.single i Pauli.Z);
+      add (omega.(i) /. 2.0 *. cos phi.(i)) (Pauli_string.single i Pauli.X);
+      add (-.(omega.(i) /. 2.0) *. sin phi.(i)) (Pauli_string.single i Pauli.Y)
+    done;
+    !h
+end
+
+let same_terms packed reference =
+  let a = Pauli_sum.terms packed and b = Ref.Term_map.bindings reference in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (s1, c1) (s2, c2) ->
+         Pauli_string.equal s1 s2
+         && Int64.equal (Int64.bits_of_float c1) (Int64.bits_of_float c2))
+       a b
+
+let sign x = Int.compare x 0
+
+(* strings over sites 0..5: few enough that random pairs collide *)
+let site_string_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 4) (pair (int_range 0 5) op_gen) >>= fun pairs ->
+    let rec dedup seen = function
+      | [] -> []
+      | (site, o) :: rest ->
+          if List.mem site seen then dedup seen rest
+          else (site, o) :: dedup (site :: seen) rest
+    in
+    return (Pauli_string.of_list (dedup [] pairs)))
+
+(* zeros, values that cancel each other exactly, values whose sum depends
+   on the order of addition, and underflowing magnitudes *)
+let coeff_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.0);
+        (1, return (-0.0));
+        (4, oneofl [ 1.0; -1.0; 0.1; -0.1; 0.2; -0.3; 1e-300; -1e-300 ]);
+        (3, float_range (-2.0) 2.0);
+      ])
+
+let pairs_gen = QCheck.Gen.(list_size (int_range 0 40) (pair site_string_gen coeff_gen))
+
+let print_pairs pairs =
+  String.concat "; "
+    (List.map
+       (fun (s, c) -> Format.asprintf "%a:%h" Pauli_string.pp s c)
+       pairs)
+
+let arb_pairs = QCheck.make ~print:print_pairs pairs_gen
+
+let prop_compare_lexicographic =
+  QCheck.Test.make ~name:"compare is lexicographic (site, op) order; hash is the fold"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Format.asprintf "%a vs %a" Pauli_string.pp a Pauli_string.pp b)
+       QCheck.Gen.(pair site_string_gen site_string_gen))
+    (fun (a, b) ->
+      sign (Pauli_string.compare a b) = sign (Ref.compare_string a b)
+      && Pauli_string.hash a = Ref.hash a
+      && Pauli_string.equal a b = (Ref.compare_string a b = 0))
+
+let prop_of_list_matches_fold =
+  QCheck.Test.make ~name:"of_list is bitwise the add_term fold" ~count:500
+    arb_pairs (fun pairs ->
+      same_terms (Pauli_sum.of_list pairs) (Ref.of_list pairs)
+      && same_terms
+           (List.fold_left
+              (fun acc (s, c) -> Pauli_sum.add_term acc s c)
+              Pauli_sum.zero pairs)
+           (Ref.of_list pairs))
+
+let prop_arith_matches_fold =
+  QCheck.Test.make ~name:"add, sub, scale and mul are bitwise the add_term fold"
+    ~count:500
+    (QCheck.triple arb_pairs arb_pairs
+       (QCheck.make ~print:(Printf.sprintf "%h") coeff_gen))
+    (fun (pa, pb, k) ->
+      let a = Pauli_sum.of_list pa and b = Pauli_sum.of_list pb in
+      let ra = Ref.of_list pa in
+      let b_terms = Pauli_sum.terms b in
+      let products =
+        List.concat_map
+          (fun (sa, ca) ->
+            List.map
+              (fun (sb, cb) ->
+                let phase, s = Pauli_string.mul sa sb in
+                let factor =
+                  match phase with
+                  | Pauli.P1 -> 1.0
+                  | Pauli.Pm1 -> -1.0
+                  | Pauli.Pi | Pauli.Pmi -> 0.0
+                in
+                (s, ca *. cb *. factor))
+              b_terms)
+          (Pauli_sum.terms a)
+      in
+      same_terms (Pauli_sum.add a b) (Ref.fold_into ra Fun.id b_terms)
+      && same_terms (Pauli_sum.sub a b) (Ref.fold_into ra Float.neg b_terms)
+      && same_terms (Pauli_sum.scale k a)
+           (if k = 0.0 then Ref.Term_map.empty
+            else Ref.fold_into Ref.Term_map.empty (fun c -> k *. c) (Pauli_sum.terms a))
+      && same_terms (fst (Pauli_sum.mul a b)) (Ref.of_list products))
+
+let layout_gen =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    let per_atom g = array_repeat n g in
+    per_atom (pair (float_range 0.0 40.0) (float_range 0.0 40.0))
+    >>= fun positions ->
+    per_atom (frequency [ (1, return 0.0); (3, float_range 0.0 2.5) ])
+    >>= fun omega ->
+    per_atom (float_range (-3.2) 3.2) >>= fun phi ->
+    per_atom (frequency [ (1, return 0.0); (3, float_range (-20.0) 20.0) ])
+    >>= fun delta ->
+    oneofl [ None; Some 8.0; Some 15.0; Some 30.0 ] >>= fun cutoff_radius ->
+    oneofl [ Qturbo_aais.Device.aquila_paper.Qturbo_aais.Device.c6; 0.0 ]
+    >>= fun c6 -> return (positions, omega, phi, delta, cutoff_radius, c6))
+
+let prop_rydberg_matches_fold =
+  QCheck.Test.make
+    ~name:"Rydberg.hamiltonian_of_pulse is bitwise the add_term loop" ~count:300
+    (QCheck.make
+       ~print:(fun (positions, _, _, _, r, c6) ->
+         Printf.sprintf "n=%d cutoff=%s c6=%g" (Array.length positions)
+           (match r with None -> "none" | Some r -> string_of_float r)
+           c6)
+       layout_gen)
+    (fun (positions, omega, phi, delta, cutoff_radius, c6) ->
+      let spec = { Qturbo_aais.Device.aquila_paper with Qturbo_aais.Device.c6 } in
+      same_terms
+        (Qturbo_aais.Rydberg.hamiltonian_of_pulse ?cutoff_radius ~spec ~positions
+           ~omega ~phi ~delta ())
+        (Ref.rydberg ?cutoff_radius ~c6 ~positions ~omega ~phi ~delta ()))
+
+(* regression: a product that underflows to 0 is pruned, so [terms] keeps
+   its nonzero-coefficient contract and [term_count] counts real terms *)
+let test_scale_prunes_underflow () =
+  let z0 = Pauli_string.single 0 Pauli.Z in
+  let h = Pauli_sum.scale 1e-300 (Pauli_sum.term 1e-300 z0) in
+  Alcotest.(check int) "no terms" 0 (Pauli_sum.term_count h);
+  Alcotest.(check (list (float 0.0))) "no coefficients" []
+    (List.map snd (Pauli_sum.terms h))
+
 let () =
   Alcotest.run "pauli"
     [
@@ -286,6 +493,7 @@ let () =
           Alcotest.test_case "tolerant equality" `Quick test_sum_equal_tol;
           Alcotest.test_case "number operator" `Quick test_number_operator_expansion;
           Alcotest.test_case "number-number" `Quick test_number_number_expansion;
+          Alcotest.test_case "scale prunes underflow" `Quick test_scale_prunes_underflow;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -295,5 +503,9 @@ let () =
             prop_commute_symmetric;
             prop_self_square_identity;
             prop_sum_add_commutative;
+            prop_compare_lexicographic;
+            prop_of_list_matches_fold;
+            prop_arith_matches_fold;
+            prop_rydberg_matches_fold;
           ] );
     ]
