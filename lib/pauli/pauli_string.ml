@@ -35,13 +35,9 @@ let of_list pairs =
   done;
   entries
 
-let single i o =
-  match o with
-  | Pauli.I -> of_list [ (i, o) ]
-  | Pauli.X | Pauli.Y | Pauli.Z ->
-      if i < 0 then invalid_arg "Pauli_string.of_list: negative site";
-      [| pack i o |]
+let single i o = of_list [ (i, o) ]
 
+(* the Rydberg Hamiltonian rebuild calls this once per atom pair *)
 let two i a j b =
   if i = j then invalid_arg "Pauli_string.two: equal sites";
   match (a, b) with
@@ -74,52 +70,30 @@ let max_site t =
 let is_identity t = Array.length t = 0
 
 let mul a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
   let phase = ref Pauli.P1 in
-  let rec merge i j k =
-    if i = na then begin
-      Array.blit b j out k (nb - j);
-      k + nb - j
-    end
-    else if j = nb then begin
-      Array.blit a i out k (na - i);
-      k + na - i
-    end
-    else
-      let sa = site a.(i) and sb = site b.(j) in
-      if sa < sb then begin
-        out.(k) <- a.(i);
-        merge (i + 1) j (k + 1)
-      end
-      else if sb < sa then begin
-        out.(k) <- b.(j);
-        merge i (j + 1) (k + 1)
-      end
-      else
-        let p, o = Pauli.mul (op a.(i)) (op b.(j)) in
-        phase := Pauli.phase_mul !phase p;
-        match o with
-        | Pauli.I -> merge (i + 1) (j + 1) k
-        | Pauli.X | Pauli.Y | Pauli.Z ->
-            out.(k) <- pack sa o;
-            merge (i + 1) (j + 1) (k + 1)
+  let rec merge xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> rest
+    | x :: xs', y :: ys' ->
+        if site x < site y then x :: merge xs' ys
+        else if site y < site x then y :: merge xs ys'
+        else
+          let p, o = Pauli.mul (op x) (op y) in
+          phase := Pauli.phase_mul !phase p;
+          let rest = merge xs' ys' in
+          if o = Pauli.I then rest else pack (site x) o :: rest
   in
-  let len = merge 0 0 0 in
-  (!phase, Array.sub out 0 len)
+  let product = merge (Array.to_list a) (Array.to_list b) in
+  (!phase, Array.of_list product)
 
 let commutes a b =
-  (* two non-identity operators on one site anticommute iff they differ *)
-  let na = Array.length a and nb = Array.length b in
-  let rec count i j acc =
-    if i = na || j = nb then acc
-    else
-      let sa = site a.(i) and sb = site b.(j) in
-      if sa < sb then count (i + 1) j acc
-      else if sb < sa then count i (j + 1) acc
-      else count (i + 1) (j + 1) (if a.(i) = b.(j) then acc else acc + 1)
+  let anticommuting_sites =
+    Array.fold_left
+      (fun acc e ->
+        if Pauli.commutes (op e) (op_at b (site e)) then acc else acc + 1)
+      0 a
   in
-  count 0 0 0 mod 2 = 0
+  anticommuting_sites mod 2 = 0
 
 let compare a b =
   let na = Array.length a and nb = Array.length b in

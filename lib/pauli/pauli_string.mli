@@ -1,8 +1,14 @@
 (** Multi-qubit Pauli strings, stored sparsely (identity sites omitted).
 
-    A Pauli string such as [Z₁Z₂] is the map [{1 ↦ Z, 2 ↦ Z}]; it is the
-    row key of the compiler's equation systems ("Hamiltonian terms" layer
-    of paper Fig. 2). *)
+    A Pauli string such as [Z₁Z₂] is the row key of the compiler's
+    equation systems ("Hamiltonian terms" layer of paper Fig. 2).
+
+    Representation: an [int array] of the non-identity sites in ascending
+    order, each packed as [site * 4 + op] with [op] 1, 2, 3 for X, Y, Z.
+    [compare], [equal], [hash] and [mul] are linear in the weights;
+    [op_at] is a binary search and [commutes] one per site of its first
+    argument.  [of_list] sorts its input, O(w log w); [two] with two
+    non-identity operators skips the sort. *)
 
 type t
 
@@ -43,10 +49,16 @@ val commutes : t -> t -> bool
 (** Strings commute iff they anticommute on an even number of sites. *)
 
 val compare : t -> t -> int
+(** Lexicographic over the [(site, op)] pairs of {!to_list}, sites
+    first, then [I < X < Y < Z]; a proper prefix sorts first, so the
+    identity string is the least. *)
 
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** [fold (fun acc (site, op) -> acc * 1_000_003 + site * 4 + op) 17]
+    over {!to_list}, with [op] numbered as above; consistent with
+    {!equal}. *)
 
 val of_string : string -> t
 (** Parse a dense spelling like ["IZZ"] (site 0 leftmost).  Raises

@@ -11,10 +11,10 @@ let term c s = if c = 0.0 then zero else { keys = [| s |]; coeffs = [| c |] }
 type buffer = { out : t; mutable len : int }
 
 let buffer n =
-  {
-    out = { keys = Array.make n Pauli_string.identity; coeffs = Array.make n 0.0 };
-    len = 0;
-  }
+  let out =
+    { keys = Array.make n Pauli_string.identity; coeffs = Array.make n 0.0 }
+  in
+  { out; len = 0 }
 
 let push b s c =
   if c <> 0.0 then begin
@@ -35,11 +35,10 @@ let of_list pairs =
   let pairs = Array.of_list pairs in
   let n = Array.length pairs in
   let by_key (a, _) (b, _) = Pauli_string.compare a b in
-  let sorted = ref true in
-  for k = 1 to n - 1 do
-    if by_key pairs.(k - 1) pairs.(k) > 0 then sorted := false
-  done;
-  if not !sorted then Array.stable_sort by_key pairs;
+  let rec sorted k =
+    k >= n || (by_key pairs.(k - 1) pairs.(k) <= 0 && sorted (k + 1))
+  in
+  if not (sorted 1) then Array.stable_sort by_key pairs;
   let out = buffer n in
   let k = ref 0 in
   while !k < n do
@@ -104,17 +103,23 @@ let coeff t s =
   in
   search 0 (Array.length t.keys)
 
-let terms t = List.init (Array.length t.keys) (fun k -> (t.keys.(k), t.coeffs.(k)))
+let terms t =
+  List.init (Array.length t.keys) (fun k -> (t.keys.(k), t.coeffs.(k)))
 let term_count t = Array.length t.keys
 
 let n_qubits t =
-  Array.fold_left (fun acc s -> Int.max acc (Pauli_string.max_site s + 1)) 0 t.keys
+  Array.fold_left
+    (fun acc s -> Int.max acc (Pauli_string.max_site s + 1))
+    0 t.keys
 
 let drop_identity t =
   (* the identity string sorts first *)
   let n = Array.length t.keys in
   if n > 0 && Pauli_string.is_identity t.keys.(0) then
-    { keys = Array.sub t.keys 1 (n - 1); coeffs = Array.sub t.coeffs 1 (n - 1) }
+    {
+      keys = Array.sub t.keys 1 (n - 1);
+      coeffs = Array.sub t.coeffs 1 (n - 1);
+    }
   else t
 
 let mul a b =

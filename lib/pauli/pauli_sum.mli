@@ -1,26 +1,39 @@
 (** Real-weighted sums of Pauli strings — the Hamiltonian representation.
 
     All Hamiltonians in the benchmark suite (paper Table 2) have real
-    coefficients, so the coefficient field is [float].  Terms are kept in a
-    canonical map keyed by {!Pauli_string.t}; zero coefficients are pruned
-    eagerly so structural equality is semantic equality. *)
+    coefficients, so the coefficient field is [float].  Terms are kept in
+    canonical {!Pauli_string.compare} order; zero coefficients are pruned
+    eagerly so structural equality is semantic equality.
+
+    Representation: parallel sorted arrays of keys and coefficients.
+    With [n] terms, {!coeff} is an O(log n) binary search; {!add},
+    {!sub}, {!scale} and {!drop_identity} are O(n); {!add_term} copies
+    the arrays, so it is O(n) too — build large sums in bulk with
+    {!of_list}, which is O(n) on input already in canonical order and
+    O(n log n) otherwise. *)
 
 type t
 
 val zero : t
 
 val of_list : (Pauli_string.t * float) list -> t
-(** Duplicate strings are summed. *)
+(** Duplicate strings are summed.  The result is bitwise the fold of
+    {!add_term} over the list from {!zero}: a string's contributions are
+    added in list order, zero contributions are skipped and a string
+    whose running total reaches zero is dropped. *)
 
 val term : float -> Pauli_string.t -> t
 
 val add : t -> t -> t
+(** Bitwise the fold of {!add_term} over the second sum's terms. *)
 
 val sub : t -> t -> t
 
 val scale : float -> t -> t
+(** Products that underflow to zero are pruned. *)
 
 val add_term : t -> Pauli_string.t -> float -> t
+(** Adds one contribution; O(n), so prefer {!of_list} in loops. *)
 
 val coeff : t -> Pauli_string.t -> float
 (** Zero for absent terms. *)

@@ -352,7 +352,8 @@ let coeff_gen =
         (3, float_range (-2.0) 2.0);
       ])
 
-let pairs_gen = QCheck.Gen.(list_size (int_range 0 40) (pair site_string_gen coeff_gen))
+let pairs_gen =
+  QCheck.Gen.(list_size (int_range 0 40) (pair site_string_gen coeff_gen))
 
 let print_pairs pairs =
   String.concat "; "
@@ -363,7 +364,8 @@ let print_pairs pairs =
 let arb_pairs = QCheck.make ~print:print_pairs pairs_gen
 
 let prop_compare_lexicographic =
-  QCheck.Test.make ~name:"compare is lexicographic (site, op) order; hash is the fold"
+  QCheck.Test.make
+    ~name:"compare is lexicographic (site, op) order; hash is the fold"
     ~count:500
     (QCheck.make
        ~print:(fun (a, b) ->
@@ -373,6 +375,40 @@ let prop_compare_lexicographic =
       sign (Pauli_string.compare a b) = sign (Ref.compare_string a b)
       && Pauli_string.hash a = Ref.hash a
       && Pauli_string.equal a b = (Ref.compare_string a b = 0))
+
+let prop_mul_sitewise =
+  QCheck.Test.make ~name:"mul and commutes agree with the site-by-site product"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Format.asprintf "%a * %a" Pauli_string.pp a Pauli_string.pp b)
+       QCheck.Gen.(pair site_string_gen site_string_gen))
+    (fun (a, b) ->
+      let sites = List.init 6 Fun.id in
+      let per_site =
+        List.map
+          (fun i -> Pauli.mul (Pauli_string.op_at a i) (Pauli_string.op_at b i))
+          sites
+      in
+      let phase =
+        List.fold_left (fun acc (p, _) -> Pauli.phase_mul acc p) Pauli.P1 per_site
+      in
+      let product =
+        Pauli_string.of_list (List.map2 (fun i (_, o) -> (i, o)) sites per_site)
+      in
+      let anticommuting =
+        List.length
+          (List.filter
+             (fun i ->
+               not
+                 (Pauli.commutes (Pauli_string.op_at a i)
+                    (Pauli_string.op_at b i)))
+             sites)
+      in
+      let p, s = Pauli_string.mul a b in
+      p = phase
+      && Pauli_string.equal s product
+      && Pauli_string.commutes a b = (anticommuting mod 2 = 0))
 
 let prop_of_list_matches_fold =
   QCheck.Test.make ~name:"of_list is bitwise the add_term fold" ~count:500
@@ -413,7 +449,9 @@ let prop_arith_matches_fold =
       && same_terms (Pauli_sum.sub a b) (Ref.fold_into ra Float.neg b_terms)
       && same_terms (Pauli_sum.scale k a)
            (if k = 0.0 then Ref.Term_map.empty
-            else Ref.fold_into Ref.Term_map.empty (fun c -> k *. c) (Pauli_sum.terms a))
+            else
+              Ref.fold_into Ref.Term_map.empty (fun c -> k *. c)
+                (Pauli_sum.terms a))
       && same_terms (fst (Pauli_sum.mul a b)) (Ref.of_list products))
 
 let layout_gen =
@@ -504,6 +542,7 @@ let () =
             prop_self_square_identity;
             prop_sum_add_commutative;
             prop_compare_lexicographic;
+            prop_mul_sitewise;
             prop_of_list_matches_fold;
             prop_arith_matches_fold;
             prop_rydberg_matches_fold;
