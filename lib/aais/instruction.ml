@@ -20,6 +20,25 @@ type channel = {
 
 type t = { label : string; channels : channel list; variables : int list }
 
+(* [e] with variable [amp] renamed to 0 and every other variable to 1.
+   Only applied once the structural check has pinned [e]'s variables to
+   exactly {amp, phase}, so the probes evaluate over a 2-element env
+   whatever the ids — a large device's Rabi channels carry ids in the
+   thousands, and an env sized by the largest id made every probe a
+   major-heap allocation. *)
+let rec rename_polar ~amp (e : Expr.t) : Expr.t =
+  match e with
+  | Const _ -> e
+  | Var v -> Var (if v = amp then 0 else 1)
+  | Neg a -> Neg (rename_polar ~amp a)
+  | Add (a, b) -> Add (rename_polar ~amp a, rename_polar ~amp b)
+  | Sub (a, b) -> Sub (rename_polar ~amp a, rename_polar ~amp b)
+  | Mul (a, b) -> Mul (rename_polar ~amp a, rename_polar ~amp b)
+  | Div (a, b) -> Div (rename_polar ~amp a, rename_polar ~amp b)
+  | Pow_int (a, k) -> Pow_int (rename_polar ~amp a, k)
+  | Sin a -> Sin (rename_polar ~amp a)
+  | Cos a -> Cos (rename_polar ~amp a)
+
 let validate_hint c =
   match c.hint with
   | Hint_linear { var; slope } -> (
@@ -38,15 +57,12 @@ let validate_hint c =
              | Hint_polar_cos _ | Hint_linear _ | Hint_fixed | Hint_generic ->
                  false
            in
-           let n = 1 + Int.max amp phase in
+           let expr = rename_polar ~amp c.expr in
            let probe (a, p) =
-             let env = Array.make n 0.0 in
-             env.(amp) <- a;
-             env.(phase) <- p;
              let expect =
                if is_sin then scale *. a *. sin p else scale *. a *. cos p
              in
-             Float.abs (Expr.eval c.expr ~env -. expect)
+             Float.abs (Expr.eval expr ~env:[| a; p |] -. expect)
              <= 1e-9 *. Float.max 1.0 (Float.abs expect)
            in
            List.for_all probe

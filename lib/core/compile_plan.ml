@@ -142,21 +142,24 @@ type t = {
 
 let support_of_target = Shape.support_of_target
 
+(* The device section of a plan key: the whole AAIS rendered, the
+   expensive half of the key on large devices — a cold build renders it
+   once and threads it down. *)
 let device_key ~(options : options) ~aais =
   Printf.sprintf "g=%b|%s" options.generic_local_solver (Shape.of_aais aais)
 
-(* Single point of truth for the plan-key format; [Plan_lint]'s
+(* Single point of truth for the plan-key format (the device section and
+   the support section, joined as [Shape.key] joins them); [lint]'s
    round-trip check re-derives keys through here. *)
-let plan_key_raw ~generic ~aais ~support =
-  Printf.sprintf "g=%b|%s" generic (Shape.key ~aais ~support)
-
-let plan_key_of_support ~(options : options) ~aais ~support =
-  plan_key_raw ~generic:options.generic_local_solver ~aais ~support
+let plan_key_of_device ~device_key ~support =
+  device_key ^ "@@" ^ Shape.of_support support
 
 let plan_key ~options ~aais ~target =
-  plan_key_of_support ~options ~aais ~support:(support_of_target target)
+  plan_key_of_device
+    ~device_key:(device_key ~options ~aais)
+    ~support:(support_of_target target)
 
-let build_device ?(options = default_options) ~aais () =
+let build_device ~(options : options) ~device_key ~aais =
   let channels = Aais.channels aais in
   let vars = Aais.variables aais in
   let comps = Locality.decompose ~channels ~n_vars:(Array.length vars) in
@@ -179,7 +182,7 @@ let build_device ?(options = default_options) ~aais () =
     comps;
     classifications;
     prepared;
-    device_key = device_key ~options ~aais;
+    device_key;
   }
 
 (* The structure pass of [qturbo.analysis] takes a generic view of the
@@ -279,7 +282,8 @@ let lint (plan : t) =
          aais when the device part was built (both the stored key and
          this one descend from it, so corruption of either side still
          mismatches); only the cheap support section is re-rendered *)
-      rederived_key = d.device_key ^ "@@" ^ Shape.of_support plan.support;
+      rederived_key =
+        plan_key_of_device ~device_key:d.device_key ~support:plan.support;
       support = plan.support;
       key_support = key_support_of plan.key;
       rows = Term_index.strings index;
@@ -327,23 +331,26 @@ let cache_insert_unchecked (plan : t) =
   Plan_cache.remove plan_cache plan.key;
   Plan_cache.add plan_cache plan.key plan
 
-let obtain_device ~options ~aais =
-  if not options.plan_cache then build_device ~options ~aais ()
+(* [device_key] is [device_key ~options ~aais], rendered by the caller *)
+let obtain_device_keyed ~options ~device_key ~aais =
+  if not options.plan_cache then build_device ~options ~device_key ~aais
   else
-    let key = device_key ~options ~aais in
-    match Plan_cache.find device_cache key with
+    match Plan_cache.find device_cache device_key with
     | Some d -> d
     | None ->
-        let d = build_device ~options ~aais () in
-        Plan_cache.add device_cache key d;
+        let d = build_device ~options ~device_key ~aais in
+        Plan_cache.add device_cache device_key d;
         d
 
-let build ?(options = default_options) ?device ~aais ~target_shape () =
+let obtain_device ~options ~aais =
+  obtain_device_keyed ~options ~device_key:(device_key ~options ~aais) ~aais
+
+(* [device ()] runs inside the timed region, so a device part built on
+   the way counts toward [build_seconds] *)
+let build_with ~device ~target_shape =
   !stage_hook "plan-build";
   let t0 = Qturbo_util.Clock.now () in
-  let device =
-    match device with Some d -> d | None -> obtain_device ~options ~aais
-  in
+  let device = device () in
   let skeleton =
     Linear_system.skeleton ~channels:device.channels ~support:target_shape
   in
@@ -362,7 +369,8 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
       support = target_shape;
       skeleton;
       structure_diags;
-      key = plan_key_of_support ~options ~aais ~support:target_shape;
+      key =
+        plan_key_of_device ~device_key:device.device_key ~support:target_shape;
       build_seconds = Qturbo_util.Clock.now () -. t0;
     }
   in
@@ -374,6 +382,10 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
              m "plan lint rejected a fresh build (%d errors)" (List.length errs));
          raise (Diagnostic.Rejected errs));
   plan
+
+let build ?(options = default_options) ?device ~aais ~target_shape () =
+  build_with ~target_shape ~device:(fun () ->
+      match device with Some d -> d | None -> obtain_device ~options ~aais)
 
 (* Lint-gated cache admission: a plan failing [Plan_lint] is never
    admitted, and the refusal is counted ([Plan_cache.reject]).  Returns
@@ -396,23 +408,31 @@ module Plan_store = Qturbo_store.Plan_store
 
 (* Marshaled closures are only decodable by the exact binary that wrote
    them (the runtime embeds code digests), so the store-format version
-   bakes in the executable's digest: a rebuilt binary invalidates every
-   prior entry as a counted version mismatch up front instead of a
-   decode failure later. *)
+   bakes in the executable's identity — its ELF build-id, else its MD5:
+   a rebuilt binary invalidates every prior entry as a counted version
+   mismatch up front instead of a decode failure later.  An executable
+   that cannot be identified gets no version, and no store: a shared
+   placeholder tag would let every such binary accept every other's
+   entries. *)
 let store_version =
-  let v = lazy (
-    let exe_digest =
-      try Digest.to_hex (Digest.file Sys.executable_name)
-      with Sys_error _ -> "unknown-executable"
-    in
-    "qturbo-plan/1 " ^ exe_digest)
+  let v =
+    lazy
+      (Option.map
+         (fun id -> "qturbo-plan/1 " ^ id)
+         (Plan_store.binary_identity Sys.executable_name))
   in
   fun () -> Lazy.force v
 
 let store : Plan_store.t option ref = ref None
 
 let enable_store ~dir =
-  store := Some (Plan_store.open_store ~version:(store_version ()) ~dir)
+  match store_version () with
+  | Some version -> store := Some (Plan_store.open_store ~version ~dir)
+  | None ->
+      store := None;
+      Log.warn (fun m ->
+          m "cannot identify the executable %s; plan store %s left disabled"
+            Sys.executable_name dir)
 
 let disable_store () = store := None
 let store_dir () = Option.map Plan_store.dir !store
@@ -464,9 +484,15 @@ let obtain_for_support ~options ~aais ~support =
   if not options.plan_cache then
     (build ~options ~aais ~target_shape:support (), Built)
   else
-    let key = plan_key_of_support ~options ~aais ~support in
+    (* the lookup key's device section is the one render of the AAIS a
+       cold build pays: the device part and the plan reuse it *)
+    let device_key = device_key ~options ~aais in
+    let key = plan_key_of_device ~device_key ~support in
     let rebuild () =
-      let p = build ~options ~aais ~target_shape:support () in
+      let p =
+        build_with ~target_shape:support ~device:(fun () ->
+            obtain_device_keyed ~options ~device_key ~aais)
+      in
       (* no [admit] here: when the strict gate is on, [build] just
          linted this plan (and raised on errors), so re-linting at
          admission would double the gate cost on every fresh build;

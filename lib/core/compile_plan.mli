@@ -329,18 +329,23 @@ val compile :
 
 val enable_store : dir:string -> unit
 (** Route {!obtain} through a store rooted at [dir] (created lazily).
-    Replaces any previously enabled store. *)
+    Replaces any previously enabled store.  When the running executable
+    cannot be identified ({!store_version} is [None]) the store stays
+    disabled and one warning is logged. *)
 
 val disable_store : unit -> unit
 
 val store_dir : unit -> string option
 val store_stats : unit -> Qturbo_store.Plan_store.stats option
 
-val store_version : unit -> string
+val store_version : unit -> string option
 (** The store-format version tag this process writes and requires:
-    a format prefix plus the running executable's digest (marshaled
-    closures do not survive a rebuild, so a new binary must invalidate
-    every prior entry).  Exposed for tests and ops tooling. *)
+    a format prefix plus the running executable's identity,
+    [qturbo-plan/1 build-id:<hex>] or [qturbo-plan/1 md5:<hex>] (see
+    {!Qturbo_store.Plan_store.binary_identity}) — marshaled closures do
+    not survive a rebuild, so a new binary must invalidate every prior
+    entry.  [None] when the executable cannot be read.  Computed once
+    per process.  Exposed for tests and ops tooling. *)
 
 (** {1 Cache control} *)
 

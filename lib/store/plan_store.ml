@@ -176,3 +176,106 @@ let reset_stats t =
       t.version_mismatch <- 0;
       t.writes <- 0;
       t.write_errors <- 0)
+
+(* ---- binary identity ------------------------------------------------- *)
+
+(* ELF64 little-endian offsets (System V gABI): the file header holds
+   e_phoff at 0x20, e_phentsize at 0x36 and e_phnum at 0x38; a program
+   header holds p_type at +0, p_offset at +8, p_filesz at +32 and
+   p_align at +48.  A note is namesz, descsz and type (4 bytes each),
+   then the name and the descriptor, each padded to the note
+   alignment. *)
+let elf64_ehsize = 64
+let elf64_phentsize = 56
+let pt_note = 4
+let nt_gnu_build_id = 3
+
+exception Malformed
+
+let u16 s o = String.get_uint16_le s o
+let u32 s o = Int32.to_int (String.get_int32_le s o) land 0xffff_ffff
+
+let u64 s o =
+  match Int64.unsigned_to_int (String.get_int64_le s o) with
+  | Some v -> v
+  | None -> raise Malformed
+
+let align_up x a = (x + a - 1) land lnot (a - 1)
+
+(* The NT_GNU_BUILD_ID descriptor among one PT_NOTE segment's notes.
+   Every step advances by at least the 12-byte note header, so the walk
+   terminates on any bytes. *)
+let build_id_in_notes notes ~align =
+  let len = String.length notes in
+  let rec walk off =
+    if off + 12 > len then None
+    else
+      let namesz = u32 notes off
+      and descsz = u32 notes (off + 4)
+      and kind = u32 notes (off + 8) in
+      let desc = align_up (off + 12 + namesz) align in
+      if desc + descsz > len then raise Malformed
+      else if
+        kind = nt_gnu_build_id && namesz = 4 && descsz > 0
+        && String.sub notes (off + 12) 4 = "GNU\000"
+      then Some (String.sub notes desc descsz)
+      else walk (align_up (desc + descsz) align)
+  in
+  walk 0
+
+(* Reads only the file header, the program header table and the PT_NOTE
+   segments: a few hundred bytes of an ordinary executable. *)
+let elf_build_id path =
+  try
+    In_channel.with_open_bin path (fun ic ->
+        let size =
+          match Int64.unsigned_to_int (In_channel.length ic) with
+          | Some n -> n
+          | None -> raise Malformed
+        in
+        let read ~off ~len =
+          if off < 0 || len < 0 || off > size - len then raise Malformed;
+          In_channel.seek ic (Int64.of_int off);
+          match In_channel.really_input_string ic len with
+          | Some s -> s
+          | None -> raise Malformed
+        in
+        let eh = read ~off:0 ~len:elf64_ehsize in
+        (* magic, ELFCLASS64, ELFDATA2LSB *)
+        if String.sub eh 0 4 <> "\x7fELF" || eh.[4] <> '\002' || eh.[5] <> '\001'
+        then raise Malformed;
+        let phoff = u64 eh 0x20
+        and phentsize = u16 eh 0x36
+        and phnum = u16 eh 0x38 in
+        if phentsize < elf64_phentsize then raise Malformed;
+        let table = read ~off:phoff ~len:(phnum * phentsize) in
+        let rec scan i =
+          if i = phnum then None
+          else
+            let ph = i * phentsize in
+            let found =
+              if u32 table ph <> pt_note then None
+              else
+                let notes =
+                  read ~off:(u64 table (ph + 8)) ~len:(u64 table (ph + 32))
+                in
+                let align = if u64 table (ph + 48) = 8 then 8 else 4 in
+                build_id_in_notes notes ~align
+            in
+            match found with Some _ -> found | None -> scan (i + 1)
+        in
+        scan 0)
+  with Malformed | Sys_error _ -> None
+
+let hex bytes =
+  let b = Buffer.create (2 * String.length bytes) in
+  String.iter (fun c -> Printf.bprintf b "%02x" (Char.code c)) bytes;
+  Buffer.contents b
+
+let binary_identity path =
+  match elf_build_id path with
+  | Some id -> Some ("build-id:" ^ hex id)
+  | None -> (
+      match Digest.file path with
+      | d -> Some ("md5:" ^ Digest.to_hex d)
+      | exception Sys_error _ -> None)

@@ -63,3 +63,13 @@ val reclassify_corrupt : t -> unit
 
 val stats : t -> stats
 val reset_stats : t -> unit
+
+val binary_identity : string -> string option
+(** A content identity for the executable at the given path, for
+    store version tags.  [Some "build-id:<hex>"] when the file is an
+    ELF64 little-endian executable carrying an [NT_GNU_BUILD_ID] note
+    in a [PT_NOTE] segment — the linker's hash of the whole output,
+    code and data, read from a few hundred bytes of headers instead of
+    hashing the file.  Otherwise (no note, another format, malformed
+    headers) [Some "md5:<hex>"], the MD5 of the whole file.  [None]
+    when the file cannot be read at all.  Never raises. *)

@@ -136,6 +136,52 @@ let test_hint_polar_accepts_rydberg_shape () =
   in
   Alcotest.(check bool) "valid" true (Instruction.validate_hint c)
 
+(* Polar channels on a large device carry variable ids in the
+   thousands; the hint probes must accept the declared closed form and
+   reject every lie about it whatever the ids (and in either id
+   order). *)
+let polar_channel ~hint expr =
+  Instruction.channel ~cid:0 ~label:"polar" ~expr ~effects:[] ~hint
+
+let rejects msg ~hint expr =
+  match polar_channel ~hint expr with
+  | _ -> Alcotest.failf "%s: hint accepted" msg
+  | exception Invalid_argument _ -> ()
+
+let test_hint_polar_large_ids () =
+  List.iter
+    (fun (amp, phase) ->
+      let cos_expr = Expr.(Mul (Mul (Const 0.5, Var amp), Cos (Var phase))) in
+      let sin_expr =
+        Expr.(Neg (Mul (Mul (Const 0.5, Var amp), Sin (Var phase))))
+      in
+      let case = Printf.sprintf "amp %d, phase %d" amp phase in
+      let cos_hint ?(amp = amp) ?(phase = phase) ?(scale = 0.5) () =
+        Instruction.Hint_polar_cos { amp; phase; scale }
+      in
+      Alcotest.(check bool) (case ^ ": cos accepted") true
+        (Instruction.validate_hint
+           (polar_channel ~hint:(cos_hint ()) cos_expr));
+      Alcotest.(check bool) (case ^ ": sin accepted") true
+        (Instruction.validate_hint
+           (polar_channel
+              ~hint:(Instruction.Hint_polar_sin { amp; phase; scale = -0.5 })
+              sin_expr));
+      rejects (case ^ ": swapped amp/phase")
+        ~hint:(cos_hint ~amp:phase ~phase:amp ())
+        cos_expr;
+      rejects (case ^ ": wrong scale") ~hint:(cos_hint ~scale:0.25 ()) cos_expr;
+      rejects (case ^ ": sin declared for cos")
+        ~hint:(Instruction.Hint_polar_sin { amp; phase; scale = 0.5 })
+        cos_expr;
+      rejects (case ^ ": amp = phase")
+        ~hint:(cos_hint ~phase:amp ())
+        cos_expr;
+      rejects (case ^ ": amp = phase, one-variable expression")
+        ~hint:(cos_hint ~phase:amp ())
+        Expr.(Mul (Mul (Const 0.5, Var amp), Cos (Var amp))))
+    [ (4096, 4097); (5000, 4096); (0, 9999) ]
+
 let test_instruction_variables_derived () =
   let c1 =
     Instruction.channel ~cid:0 ~label:"c1" ~expr:Expr.(Mul (Var 2, Var 0))
@@ -238,6 +284,31 @@ let test_rydberg_hint_consistency () =
       if not (Instruction.validate_hint c) then
         Alcotest.failf "hint of %s does not validate" c.Instruction.label)
     (Aais.channels ryd.Rydberg.aais)
+
+(* The device section of every plan key is [Shape.of_aais]; plan-store
+   entries and cache keys depend on its exact bytes.  Digests pinned
+   from the renderer before the hint probes were compacted — the AAIS
+   builds of the benchmark's large devices must render unchanged. *)
+let test_shape_digests_pinned () =
+  List.iter
+    (fun (backend, model_name, n, expect) ->
+      let inst =
+        backend.Qturbo_backend.Backend.instantiate ~model_name ~n ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s n=%d" backend.Qturbo_backend.Backend.name
+           model_name n)
+        expect
+        (Digest.to_hex
+           (Digest.string (Shape.of_aais inst.Qturbo_backend.Backend.aais))))
+    Qturbo_backend.Backend.
+      [
+        (rydberg, "ising-cycle", 93, "5b4cc857d0de8bbb2d3e4bbdc7a55846");
+        (rydberg, "ising-chain", 93, "e98d8ec1b034a43cd2253b89ee39f2a4");
+        (rydberg, "ising-cycle", 300, "ca56547e1a0785d7b8b5980b52b9ad40");
+        (rydberg, "ising-cycle", 1000, "1cad3d1a6f9b19ce8992b3aa141bd4c6");
+        (iontrap, "ising-chain", 43, "bf971265cab20bd3eef93f41f100383c");
+      ]
 
 (* ---- Heisenberg AAIS ---- *)
 
@@ -382,6 +453,8 @@ let () =
         [
           Alcotest.test_case "lying hints rejected" `Quick test_hint_validation_rejects_lies;
           Alcotest.test_case "polar shape accepted" `Quick test_hint_polar_accepts_rydberg_shape;
+          Alcotest.test_case "polar probes at large ids" `Quick
+            test_hint_polar_large_ids;
           Alcotest.test_case "variables derived" `Quick test_instruction_variables_derived;
           Alcotest.test_case "identity effects filtered" `Quick
             test_effect_terms_filter_identity;
@@ -396,6 +469,8 @@ let () =
           Alcotest.test_case "gauge pins" `Quick test_rydberg_gauge_pins;
           Alcotest.test_case "layout checks" `Quick test_rydberg_check_layout;
           Alcotest.test_case "hints validate" `Quick test_rydberg_hint_consistency;
+          Alcotest.test_case "shape digests pinned" `Quick
+            test_shape_digests_pinned;
         ] );
       ( "heisenberg",
         [

@@ -141,6 +141,197 @@ let test_store_unusable_dir () =
   let s = PS.stats store in
   Alcotest.(check int) "write error counted" 1 s.PS.write_errors
 
+(* ---- binary identity: the ELF build-id reader ---- *)
+
+let pt_load = 1
+let pt_note = 4
+
+(* one note: 12-byte header, then name and descriptor each padded to 4
+   bytes; [?descsz] overrides the declared descriptor size *)
+let note ?descsz ~name ~kind desc =
+  let pad s = s ^ String.make ((4 - (String.length s mod 4)) mod 4) '\000' in
+  let h = Bytes.create 12 in
+  Bytes.set_int32_le h 0 (Int32.of_int (String.length name));
+  Bytes.set_int32_le h 4
+    (Int32.of_int (Option.value descsz ~default:(String.length desc)));
+  Bytes.set_int32_le h 8 (Int32.of_int kind);
+  Bytes.to_string h ^ pad name ^ pad desc
+
+(* An ELF64-LE file: the 64-byte header, one 56-byte program header per
+   segment, then the segments' bytes in order.  [?ident] replaces the
+   leading identification bytes, [?phnum] the declared header count. *)
+let elf ?(ident = "\x7fELF\002\001\001") ?phnum segments =
+  let phoff = 64 in
+  let head = Bytes.make (phoff + (56 * List.length segments)) '\000' in
+  Bytes.blit_string ident 0 head 0 (String.length ident);
+  Bytes.set_int64_le head 0x20 (Int64.of_int phoff);
+  Bytes.set_uint16_le head 0x36 56;
+  Bytes.set_uint16_le head 0x38
+    (Option.value phnum ~default:(List.length segments));
+  ignore
+    (List.fold_left
+       (fun (i, off) (kind, bytes) ->
+         let ph = phoff + (56 * i) in
+         Bytes.set_int32_le head ph (Int32.of_int kind);
+         Bytes.set_int64_le head (ph + 8) (Int64.of_int off);
+         Bytes.set_int64_le head (ph + 32) (Int64.of_int (String.length bytes));
+         Bytes.set_int64_le head (ph + 48) 4L;
+         (i + 1, off + String.length bytes))
+       (0, Bytes.length head) segments);
+  Bytes.to_string head ^ String.concat "" (List.map snd segments)
+
+let build_id = "\x01\x23\x45\x67\x89\xab\xcd\xef\x00\xff"
+let gnu_build_id = note ~name:"GNU\000" ~kind:3 build_id
+
+(* a valid executable image: a loadable segment, then a note segment
+   whose build-id follows a non-GNU note and a GNU note of another
+   type *)
+let valid_elf =
+  elf
+    [
+      (pt_load, String.make 40 'x');
+      ( pt_note,
+        note ~name:"Xen\000" ~kind:3 "not-it"
+        ^ note ~name:"GNU\000" ~kind:5 "property"
+        ^ gnu_build_id );
+    ]
+
+let identity_of_bytes bytes =
+  let path = Filename.temp_file "qturbo-identity-test" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path bytes;
+      PS.binary_identity path)
+
+let md5_form bytes = Some ("md5:" ^ Digest.to_hex (Digest.string bytes))
+
+let test_identity_elf_cases () =
+  let check msg expect bytes =
+    Alcotest.(check (option string)) msg expect (identity_of_bytes bytes)
+  in
+  check "build-id after other notes" (Some "build-id:0123456789abcdef00ff")
+    valid_elf;
+  check "build-id in a later note segment"
+    (Some "build-id:0123456789abcdef00ff")
+    (elf
+       [
+         (pt_note, note ~name:"stapsdt\000" ~kind:3 "probe");
+         (pt_note, gnu_build_id);
+       ]);
+  let fallback msg bytes = check msg (md5_form bytes) bytes in
+  fallback "no PT_NOTE" (elf [ (pt_load, gnu_build_id) ]);
+  fallback "no build-id note"
+    (elf [ (pt_note, note ~name:"GNU\000" ~kind:1 "abi-tag") ]);
+  fallback "empty build-id" (elf [ (pt_note, note ~name:"GNU\000" ~kind:3 "") ]);
+  fallback "truncated file header" (String.sub valid_elf 0 40);
+  fallback "truncated program headers" (String.sub valid_elf 0 100);
+  fallback "truncated note segment"
+    (String.sub valid_elf 0 (String.length valid_elf - 4));
+  fallback "ELF32 header"
+    (elf ~ident:"\x7fELF\001\001\001" [ (pt_note, gnu_build_id) ]);
+  fallback "big-endian header"
+    (elf ~ident:"\x7fELF\002\002\001" [ (pt_note, gnu_build_id) ]);
+  fallback "not an ELF file" "#!/bin/sh\necho hello\n";
+  fallback "empty file" "";
+  fallback "descsz runs past the segment"
+    (elf [ (pt_note, note ~descsz:4096 ~name:"GNU\000" ~kind:3 build_id) ]);
+  fallback "absurd phnum" (elf ~phnum:0xffff [ (pt_note, gnu_build_id) ]);
+  fallback "phnum past the end" (elf ~phnum:60000 [ (pt_note, gnu_build_id) ])
+
+let test_identity_unreadable () =
+  Alcotest.(check (option string)) "nonexistent path" None
+    (PS.binary_identity "/nonexistent/qturbo-no-such-binary");
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check (option string)) "a directory" None
+        (PS.binary_identity dir))
+
+(* byte flips and truncations of a valid image: always an answer (the
+   build-id or the whole-file fallback), never an exception *)
+let prop_identity_total =
+  QCheck.Test.make ~name:"identity of damaged ELF images is total" ~count:300
+    QCheck.(
+      pair
+        (int_bound (String.length valid_elf))
+        (small_list
+           (pair (int_bound (String.length valid_elf - 1)) (int_range 1 255))))
+    (fun (keep, flips) ->
+      let b = Bytes.of_string valid_elf in
+      List.iter
+        (fun (i, x) ->
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+        flips;
+      let bytes = Bytes.sub_string b 0 keep in
+      match identity_of_bytes bytes with
+      | Some id ->
+          id = Option.get (md5_form bytes)
+          || String.starts_with ~prefix:"build-id:" id
+      | None -> false)
+
+(* the first sequence that looks like an NT_GNU_BUILD_ID note (namesz 4,
+   type 3, name "GNU") in the raw bytes: an oracle independent of the
+   program-header walk *)
+let scan_build_id bytes =
+  let len = String.length bytes in
+  let rec go i =
+    if i + 16 > len then None
+    else if
+      String.sub bytes i 4 = "\004\000\000\000"
+      && String.sub bytes (i + 8) 8 = "\003\000\000\000GNU\000"
+    then
+      let descsz = Int32.to_int (String.get_int32_le bytes (i + 4)) in
+      if descsz > 0 && descsz <= 64 && i + 16 + descsz <= len then
+        Some (String.sub bytes (i + 16) descsz)
+      else go (i + 1)
+    else go (i + 1)
+  in
+  go 0
+
+let test_store_version_form () =
+  let v = Compile_plan.store_version () in
+  Alcotest.(check (option string)) "stable across calls" v
+    (Compile_plan.store_version ());
+  let exe = read_file Sys.executable_name in
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  let expect =
+    match scan_build_id exe with
+    | Some id when String.starts_with ~prefix:"\x7fELF" exe ->
+        "build-id:" ^ hex id
+    | _ -> "md5:" ^ Digest.to_hex (Digest.string exe)
+  in
+  Alcotest.(check (option string))
+    "version form"
+    (Some ("qturbo-plan/1 " ^ expect))
+    v
+
+(* a store written under one binary's identity is a counted version
+   mismatch under another's *)
+let test_identity_separates_stores () =
+  let other_elf =
+    elf [ (pt_note, note ~name:"GNU\000" ~kind:3 "another build") ]
+  in
+  let version bytes =
+    "qturbo-plan/1 " ^ Option.get (identity_of_bytes bytes)
+  in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let writer = PS.open_store ~version:(version valid_elf) ~dir in
+      ignore (PS.save writer ~key:"k" ~payload:"p");
+      let reader = PS.open_store ~version:(version other_elf) ~dir in
+      Alcotest.(check (option string)) "rejected" None (PS.load reader ~key:"k");
+      check_stats "other binary" reader ~hits:0 ~misses:0 ~corrupt:0
+        ~version_mismatch:1 ~writes:0;
+      Alcotest.(check (option string)) "same binary still hits" (Some "p")
+        (PS.load writer ~key:"k"))
+
 (* ---- Compile_plan integration ---- *)
 
 let with_store f =
@@ -286,6 +477,18 @@ let () =
           Alcotest.test_case "reclassify corrupt" `Quick test_store_reclassify;
           Alcotest.test_case "unusable directory" `Quick
             test_store_unusable_dir;
+        ] );
+      ( "binary_identity",
+        [
+          Alcotest.test_case "synthetic ELF images" `Quick
+            test_identity_elf_cases;
+          Alcotest.test_case "unreadable executable" `Quick
+            test_identity_unreadable;
+          Alcotest.test_case "store version form" `Quick
+            test_store_version_form;
+          Alcotest.test_case "identities separate stores" `Quick
+            test_identity_separates_stores;
+          QCheck_alcotest.to_alcotest prop_identity_total;
         ] );
       ( "compile_plan",
         [
