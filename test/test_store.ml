@@ -478,7 +478,7 @@ let () =
           Alcotest.test_case "unusable directory" `Quick
             test_store_unusable_dir;
         ] );
-      ( "binary_identity",
+      ( "identity",
         [
           Alcotest.test_case "synthetic ELF images" `Quick
             test_identity_elf_cases;
