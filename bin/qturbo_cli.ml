@@ -822,16 +822,11 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
            ~td_jobs ())
     else begin
       let results =
-        List.map
-          (fun (segments, t_tar) ->
-            ( segments,
-              t_tar,
-              Qturbo_core.Td_compiler.compile ~options ~aais:inst.Backend.aais
-                ~model:probe ~t_tar ~segments () ))
-          td_jobs
+        Qturbo_core.Td_compiler.compile_batch ~options ~batch_domains
+          ~aais:inst.Backend.aais ~model:probe td_jobs
       in
       List.iteri
-        (fun i (segments, t_tar, (td : Qturbo_core.Td_compiler.result)) ->
+        (fun i ((segments, t_tar), (td : Qturbo_core.Td_compiler.result)) ->
           Printf.printf
             "job %d: segments=%d t=%g -> T_sim=%.4f us, error %.4f%%, %d \
              shape(s), %d build(s)%s\n"
@@ -840,7 +835,7 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
             td.Qturbo_core.Td_compiler.plan_shapes
             td.Qturbo_core.Td_compiler.plan_builds
             (if td.Qturbo_core.Td_compiler.degraded then " DEGRADED" else ""))
-        results;
+        (List.combine td_jobs results);
       print_plan_summary ~plan_cache:options.Qturbo_core.Compiler.plan_cache
     end;
     0

@@ -36,8 +36,17 @@ let validate ~t_tar ~segments =
                 "Td_compiler.compile: segments must be >= 1, got %d" segments);
          ])
 
-let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
-    ~model ~t_tar ~segments () =
+(* One job's phase-1 output: its discretization and the plan every
+   segment compiles against, with the time it took to get them. *)
+type acquired = {
+  hams : Qturbo_pauli.Pauli_sum.t list;
+  t_tar : float;
+  plan : Compile_plan.t;
+  provenance : Compile_plan.provenance;
+  acquire_seconds : float;
+}
+
+let acquire ~options ~aais ~model (segments, t_tar) =
   validate ~t_tar ~segments;
   let t0 = Qturbo_util.Clock.now () in
   let hams = Qturbo_models.Model.discretize model ~segments in
@@ -56,9 +65,22 @@ let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
   let plan, provenance =
     Compile_plan.obtain_for_support ~options ~aais ~support
   in
+  {
+    hams;
+    t_tar;
+    plan;
+    provenance;
+    acquire_seconds = Qturbo_util.Clock.now () -. t0;
+  }
+
+let solve ~options ~strict ?t_max a =
+  let t0 = Qturbo_util.Clock.now () in
+  let segments = List.length a.hams in
   let r =
-    Compile_plan.solve_segments ~options ~strict ?t_max ~plan ~targets:hams
-      ~tau_tar:(t_tar /. float_of_int segments) ()
+    Compile_plan.solve_segments ~options ~strict ?t_max ~plan:a.plan
+      ~targets:a.hams
+      ~tau_tar:(a.t_tar /. float_of_int segments)
+      ()
   in
   let segs = r.Compile_plan.Segments.segments in
   let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 segs in
@@ -87,11 +109,63 @@ let compile ?(options = Compiler.default_options) ?(strict = true) ?t_max ~aais
     relative_error =
       (if b_norm > 0.0 then error_l1 /. b_norm *. 100.0 else 0.0);
     binding_segment = r.binding_segment;
-    compile_seconds = Qturbo_util.Clock.now () -. t0;
+    compile_seconds = a.acquire_seconds +. (Qturbo_util.Clock.now () -. t0);
     warnings = r.warnings;
     diagnostics = r.diagnostics;
     failures = r.failures;
     degraded = r.degraded;
     plan_shapes = 1;
-    plan_builds = (if provenance = Compile_plan.Built then 1 else 0);
+    plan_builds = (if a.provenance = Compile_plan.Built then 1 else 0);
   }
+
+let compile_batch ?(options = Compiler.default_options) ?(strict = true) ?t_max
+    ?(batch_domains = 1) ~aais ~model jobs =
+  (* Phase 1 — validate, discretize and acquire plans sequentially in
+     job order, exactly like [Compiler.compile_batch]: all cache
+     mutation happens here, so hit/miss accounting and [plan_builds]
+     match the sequential loop, and a rejected job raises before any
+     solve runs. *)
+  let acquired =
+    Array.of_list (List.map (acquire ~options ~aais ~model) jobs)
+  in
+  let n = Array.length acquired in
+  (* Phase 2 — the solves on the work pool, longest first: a job costs
+     roughly in proportion to its segment count, so dispatching the
+     largest first keeps a short job from being the last one started.
+     Each job's outcome is captured and the batch re-raises in job
+     order, so the exception is the one the sequential loop would have
+     raised first.  Once some job has failed, jobs after it in job
+     order are skipped: they could not change which exception wins. *)
+  let order = Array.init n Fun.id in
+  let size i = List.length acquired.(i).hams in
+  Array.stable_sort (fun i j -> Int.compare (size j) (size i)) order;
+  let first_failed = Atomic.make n in
+  let rec lower i =
+    let cur = Atomic.get first_failed in
+    if i < cur && not (Atomic.compare_and_set first_failed cur i) then lower i
+  in
+  let outcomes =
+    Qturbo_par.Pool.parallel_map ~domains:batch_domains ~chunk:1
+      (fun i ->
+        if i > Atomic.get first_failed then None
+        else
+          match solve ~options ~strict ?t_max acquired.(i) with
+          | r -> Some (Ok r)
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              lower i;
+              Some (Error (e, bt)))
+      order
+  in
+  let by_job = Array.make n None in
+  Array.iteri (fun k i -> by_job.(i) <- outcomes.(k)) order;
+  Array.iter
+    (function
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+    by_job;
+  Array.to_list
+    (Array.map (function Some (Ok r) -> r | _ -> assert false) by_job)
+
+let compile ?options ?strict ?t_max ~aais ~model ~t_tar ~segments () =
+  List.hd
+    (compile_batch ?options ?strict ?t_max ~aais ~model [ (segments, t_tar) ])

@@ -86,3 +86,30 @@ val compile :
     raises {!Qturbo_resilience.Failure.Failed} unless
     [options.best_effort] is set, in which case the degraded result is
     returned with the classified records on [result.failures]. *)
+
+val compile_batch :
+  ?options:Compiler.options ->
+  ?strict:bool ->
+  ?t_max:float ->
+  ?batch_domains:int ->
+  aais:Qturbo_aais.Aais.t ->
+  model:Qturbo_models.Model.t ->
+  (int * float) list ->
+  result list
+(** Compile a list of [(segments, t_tar)] jobs re-discretizing one
+    driven [model]; each job's result is exactly what {!compile} would
+    have produced for it ({!compile} is the one-job batch).
+
+    Runs in two phases, like {!Compiler.compile_batch}: every job is
+    validated, discretized and acquires its plan sequentially in job
+    order (deterministic cache accounting and [plan_builds]), so a
+    rejected job raises before any solve runs; then the segment solves
+    run on the work pool with [batch_domains] workers (default [1] —
+    fully sequential), largest segment count first.  Results are
+    collected by job index, so the output list is bitwise-identical at
+    any [batch_domains], including under injected faults, and a failure
+    raises the exception of the smallest-index failing job, exactly like
+    the sequential loop.  Inside a worker a job's own segment pool runs
+    inline; a one-job batch runs inline and keeps its segment
+    parallelism.  Each [compile_seconds] covers the job's own
+    acquisition and solve, not time spent waiting for a worker. *)

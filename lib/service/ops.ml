@@ -212,21 +212,16 @@ let sweep_static_json ~options ~batch_domains ~backend ~inst ~probe ~target_of
     (String.concat "," (List.map2 job_json jobs reports))
     (plan_cache_json ())
 
-(* `qturbo sweep --json`, time-dependent mode: (segments, t_tar) jobs
-   re-discretizing one driven model. *)
+(* `qturbo sweep --json`, time-dependent mode: one batch of
+   (segments, t_tar) jobs re-discretizing one driven model. *)
 let sweep_td_json ~options ~batch_domains ~backend ~inst ~probe ~td_jobs () =
   let jf = Qturbo_util.Json.float_lit in
   let n = probe.Qturbo_models.Model.n in
   let results =
-    List.map
-      (fun (segments, t_tar) ->
-        ( segments,
-          t_tar,
-          Qturbo_core.Td_compiler.compile ~options ~aais:inst.Backend.aais
-            ~model:probe ~t_tar ~segments () ))
-      td_jobs
+    Qturbo_core.Td_compiler.compile_batch ~options ~batch_domains
+      ~aais:inst.Backend.aais ~model:probe td_jobs
   in
-  let job_json (segments, t_tar, (td : Qturbo_core.Td_compiler.result)) =
+  let job_json (segments, t_tar) (td : Qturbo_core.Td_compiler.result) =
     Printf.sprintf
       {|{"segments":%d,"t_tar":%s,"t_sim":%s,"relative_error":%s,"plan_shapes":%d,"plan_builds":%d,"degraded":%b}|}
       segments (jf t_tar)
@@ -239,7 +234,7 @@ let sweep_td_json ~options ~batch_domains ~backend ~inst ~probe ~td_jobs () =
   Printf.sprintf {|{%s,"jobs":[%s],"plan_cache":%s}|}
     (sweep_header ~probe ~backend ~n ~mode:"td"
        ~job_count:(List.length td_jobs) ~batch_domains)
-    (String.concat "," (List.map job_json results))
+    (String.concat "," (List.map2 job_json td_jobs results))
     (plan_cache_json ())
 
 (* ---- daemon request handlers ------------------------------------------ *)

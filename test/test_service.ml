@@ -207,6 +207,60 @@ let test_handler_cli_parity () =
     (J.emit (drop_plan_cache (J.parse_exn direct)))
     (J.emit (drop_plan_cache (response_result resp)))
 
+(* A time-dependent daemon sweep fans its jobs out over the batch
+   workers; its result is the CLI's `sweep --json` payload for the same
+   job, and the sequential batch's once the setting itself is dropped. *)
+let test_handler_td_sweep_parity () =
+  Qturbo_core.Compile_plan.clear_caches ();
+  let resp, _ =
+    handle
+      {|{"op":"sweep","model":"mis-chain","n":5,"sweep_segments":"1,4,8","sweep_t":"1.0:1.4:2","batch_domains":2}|}
+  in
+  let probe =
+    Ops.resolve_model ~hamiltonian:None ~model_name:(Some "mis-chain") ~n:5
+      ~j:0.0 ~h:0.0
+  in
+  let inst =
+    Ops.resolve_backend ~backend:"rydberg" ~device:None ~cutoff:None
+      ~ramp:false ~model_name:probe.Qturbo_models.Model.name
+      ~n:probe.Qturbo_models.Model.n
+  in
+  let td_jobs =
+    List.concat_map
+      (fun segments ->
+        List.map
+          (fun t -> (segments, t))
+          (Ops.parse_range ~what:"--sweep-t" "1.0:1.4:2"))
+      (Ops.parse_int_list ~what:"--sweep-segments" "1,4,8")
+  in
+  let cli batch_domains =
+    Qturbo_core.Compile_plan.clear_caches ();
+    J.parse_exn
+      (Ops.sweep_td_json ~options:Qturbo_core.Compiler.default_options
+         ~batch_domains ~backend:"rydberg" ~inst ~probe ~td_jobs ())
+  in
+  let daemon = drop_plan_cache (response_result resp) in
+  Alcotest.(check string) "daemon result = CLI sweep --json payload"
+    (J.emit (drop_plan_cache (cli 2)))
+    (J.emit daemon);
+  let drop_batch_domains = function
+    | J.Object fields ->
+        J.Object
+          (List.map
+             (function
+               | "sweep", J.Object header ->
+                   ( "sweep",
+                     J.Object
+                       (List.filter (fun (k, _) -> k <> "batch_domains") header)
+                   )
+               | field -> field)
+             fields)
+    | v -> v
+  in
+  Alcotest.(check string) "2 batch workers = the sequential batch"
+    (J.emit (drop_batch_domains (drop_plan_cache (cli 1))))
+    (J.emit (drop_batch_domains daemon))
+
 (* ---- end-to-end over a real socket ---- *)
 
 let test_socket_end_to_end () =
@@ -262,6 +316,8 @@ let () =
           Alcotest.test_case "typed errors" `Quick test_handler_typed_errors;
           Alcotest.test_case "CLI --json parity" `Quick
             test_handler_cli_parity;
+          Alcotest.test_case "td sweep parity" `Quick
+            test_handler_td_sweep_parity;
         ] );
       ( "socket",
         [ Alcotest.test_case "end to end" `Quick test_socket_end_to_end ] );

@@ -390,6 +390,170 @@ let test_td_segment_sweep_single_miss () =
   let s = Compile_plan.cache_stats () in
   Alcotest.(check int) "one global miss" 1 s.Plan_cache.misses
 
+(* ---- the time-dependent batch ---- *)
+
+(* unsorted and uneven, so longest-first dispatch reorders the jobs; K=6
+   hits the s = 0.75 quirk *)
+let td_jobs =
+  List.concat_map
+    (fun segments -> List.map (fun t -> (segments, t)) [ 1.0; 1.4 ])
+    [ 32; 4; 16; 8; 6 ]
+
+let td_setup () =
+  let n = 5 in
+  ( (Rydberg.build ~spec:relaxed_line ~n).Rydberg.aais,
+    Qturbo_models.Benchmarks.mis_chain ~n () )
+
+let td_batch ?(options = Compiler.default_options) ~batch_domains jobs =
+  Compile_plan.clear_caches ();
+  let aais, model = td_setup () in
+  Td_compiler.compile_batch ~options ~batch_domains ~aais ~model jobs
+
+(* what the sequential loop over [Td_compiler.compile] gives: each job's
+   result or the first job's exception *)
+let td_sequential ?(options = Compiler.default_options) jobs =
+  Compile_plan.clear_caches ();
+  let aais, model = td_setup () in
+  List.map
+    (fun (segments, t_tar) ->
+      Td_compiler.compile ~options ~aais ~model ~t_tar ~segments ())
+    jobs
+
+let check_td_bitwise msg expected actual =
+  Alcotest.(check int) (msg ^ " count") (List.length expected)
+    (List.length actual);
+  List.iteri
+    (fun i ((e : Td_compiler.result), (a : Td_compiler.result)) ->
+      let tag = Printf.sprintf "%s job %d" msg i in
+      Alcotest.(check int)
+        (tag ^ " segments")
+        (List.length e.Td_compiler.segments)
+        (List.length a.Td_compiler.segments);
+      List.iteri
+        (fun k
+             ((es : Td_compiler.segment_result),
+              (as_ : Td_compiler.segment_result)) ->
+          let tag = Printf.sprintf "%s segment %d" tag k in
+          check_bits_arr (tag ^ " env") es.Td_compiler.env as_.Td_compiler.env;
+          check_bits (tag ^ " duration") es.Td_compiler.duration
+            as_.Td_compiler.duration;
+          check_bits (tag ^ " error_l1") es.Td_compiler.error_l1
+            as_.Td_compiler.error_l1)
+        (List.combine e.Td_compiler.segments a.Td_compiler.segments);
+      check_bits (tag ^ " t_sim") e.Td_compiler.t_sim a.Td_compiler.t_sim;
+      check_bits (tag ^ " relative_error") e.Td_compiler.relative_error
+        a.Td_compiler.relative_error;
+      Alcotest.(check int)
+        (tag ^ " binding_segment") e.Td_compiler.binding_segment
+        a.Td_compiler.binding_segment;
+      Alcotest.(check int)
+        (tag ^ " plan_builds") e.Td_compiler.plan_builds
+        a.Td_compiler.plan_builds;
+      Alcotest.(check int)
+        (tag ^ " plan_shapes") e.Td_compiler.plan_shapes
+        a.Td_compiler.plan_shapes;
+      Alcotest.(check bool)
+        (tag ^ " degraded") e.Td_compiler.degraded a.Td_compiler.degraded;
+      Alcotest.(check (list string))
+        (tag ^ " failures")
+        (List.map Qturbo_resilience.Failure.to_string e.Td_compiler.failures)
+        (List.map Qturbo_resilience.Failure.to_string a.Td_compiler.failures))
+    (List.combine expected actual)
+
+let test_td_batch_bitwise () =
+  let seq = td_sequential td_jobs in
+  let seq_stats = Compile_plan.cache_stats () in
+  List.iter
+    (fun batch_domains ->
+      let batch = td_batch ~batch_domains td_jobs in
+      let msg = Printf.sprintf "batch_domains %d" batch_domains in
+      check_td_bitwise msg seq batch;
+      if Compile_plan.cache_stats () <> seq_stats then
+        Alcotest.failf "%s: cache stats differ from the sequential loop" msg)
+    [ 1; 2; 4 ]
+
+let all_nan = Fault.parse_exn "*=nan"
+
+let outcome f =
+  match f () with
+  | _ -> "ok"
+  | exception Qturbo_resilience.Failure.Failed fs ->
+      String.concat "; "
+        ("Failed" :: List.map Qturbo_resilience.Failure.to_string fs)
+  | exception Qturbo_analysis.Diagnostic.Rejected ds ->
+      String.concat "; "
+        ("Rejected" :: List.map Qturbo_analysis.Diagnostic.to_string ds)
+
+let test_td_batch_failure_order () =
+  let options =
+    { Compiler.default_options with Compiler.faults = Some all_nan }
+  in
+  let jobs = [ (4, 1.0); (32, 1.0); (8, 1.0) ] in
+  let first = outcome (fun () -> td_sequential ~options jobs) in
+  Alcotest.(check bool) "strict solves fail" true (first <> "ok");
+  Alcotest.(check string) "4 workers raise the sequential loop's failure"
+    first
+    (outcome (fun () -> td_batch ~options ~batch_domains:4 jobs));
+  (* a model whose blockade coefficient turns negative for s < 0.3: the
+     one-segment job 0 passes the precheck and fails in the faulted
+     solve, while the K=32 job, dispatched first, is rejected by its
+     precheck.  Job 0's failure must still win. *)
+  let aais, _ = td_setup () in
+  let model =
+    Qturbo_models.Model.driven ~name:"mis-chain-flip" ~n:5 (fun s ->
+        Qturbo_models.Model.hamiltonian_at
+          (Qturbo_models.Benchmarks.mis_chain ~alpha:(s -. 0.3) ~n:5 ())
+          ~s)
+  in
+  let jobs = [ (1, 1.0); (32, 1.0) ] in
+  let batch batch_domains () =
+    Compile_plan.clear_caches ();
+    Td_compiler.compile_batch ~options ~batch_domains ~aais ~model jobs
+  in
+  let sequential jobs () =
+    List.map
+      (fun (segments, t_tar) ->
+        Td_compiler.compile ~options ~aais ~model ~t_tar ~segments ())
+      jobs
+  in
+  let first = outcome (sequential jobs) in
+  Alcotest.(check bool) "the longest job fails differently" true
+    (outcome (sequential [ (32, 1.0) ]) <> first);
+  List.iter
+    (fun batch_domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "job order beats dispatch order at %d" batch_domains)
+        first
+        (outcome (batch batch_domains)))
+    [ 1; 4 ];
+  (* best effort: the same degraded results at any worker count *)
+  let options = { options with Compiler.best_effort = true } in
+  let jobs = [ (4, 1.0); (32, 1.0); (8, 1.0) ] in
+  let seq = td_batch ~options ~batch_domains:1 jobs in
+  List.iter
+    (fun (r : Td_compiler.result) ->
+      Alcotest.(check bool) "degraded" true r.Td_compiler.degraded)
+    seq;
+  check_td_bitwise "best-effort 1 vs 4" seq
+    (td_batch ~options ~batch_domains:4 jobs)
+
+let test_td_batch_rejects_up_front () =
+  let stages = ref [] in
+  let saved = !Compile_plan.stage_hook in
+  Compile_plan.stage_hook := (fun s -> stages := s :: !stages);
+  Fun.protect
+    ~finally:(fun () -> Compile_plan.stage_hook := saved)
+    (fun () ->
+      match td_batch ~batch_domains:4 [ (4, 1.0); (8, 1.0); (0, 1.0) ] with
+      | _ -> Alcotest.fail "segments = 0 must be rejected"
+      | exception Qturbo_analysis.Diagnostic.Rejected ds ->
+          Alcotest.(check (list string))
+            "QT016" [ "QT016" ]
+            (List.map (fun d -> d.Qturbo_analysis.Diagnostic.code) ds);
+          Alcotest.(check bool)
+            "no solve ran" false
+            (List.mem "precheck" !stages))
+
 let () =
   Alcotest.run "sweep"
     [
@@ -425,5 +589,14 @@ let () =
             test_batch_counts_one_miss;
           Alcotest.test_case "td segment sweep single miss" `Quick
             test_td_segment_sweep_single_miss;
+        ] );
+      ( "td-batch",
+        [
+          Alcotest.test_case "bitwise at 1, 2, 4 workers" `Quick
+            test_td_batch_bitwise;
+          Alcotest.test_case "first job's failure wins" `Quick
+            test_td_batch_failure_order;
+          Alcotest.test_case "rejects before solving" `Quick
+            test_td_batch_rejects_up_front;
         ] );
     ]
