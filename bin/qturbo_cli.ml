@@ -212,8 +212,8 @@ let compile_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
     }
   in
   let inst =
-    resolve_backend ~backend ~device:device_name ~cutoff ~ramp
-      ~model_name:model.Qturbo_models.Model.name ~n
+    resolve_backend ~reuse:(not no_plan_cache) ~backend ~device:device_name
+      ~cutoff ~ramp ~model_name:model.Qturbo_models.Model.name ~n
   in
   if Qturbo_models.Model.is_driven model then begin
     let td =
@@ -460,8 +460,8 @@ let check_cmd model_name hamiltonian n backend device_name cutoff t_tar j h
   let model = resolve_model ~hamiltonian ~model_name ~n ~j ~h in
   let n = model.Qturbo_models.Model.n in
   let inst =
-    resolve_backend ~backend ~device:device_name ~cutoff ~ramp:false
-      ~model_name:model.Qturbo_models.Model.name ~n
+    resolve_backend ~reuse:true ~backend ~device:device_name ~cutoff
+      ~ramp:false ~model_name:model.Qturbo_models.Model.name ~n
   in
   let aais = inst.Backend.aais in
   let t_max = inst.Backend.max_time in
@@ -623,8 +623,8 @@ let lint_cmd model_name hamiltonian n backend device_name cutoff j h inject
   let model = resolve_model ~hamiltonian ~model_name ~n ~j ~h in
   let n = model.Qturbo_models.Model.n in
   let aais =
-    (resolve_backend ~backend ~device:device_name ~cutoff ~ramp:false
-       ~model_name:model.Qturbo_models.Model.name ~n)
+    (resolve_backend ~reuse:true ~backend ~device:device_name ~cutoff
+       ~ramp:false ~model_name:model.Qturbo_models.Model.name ~n)
       .Backend.aais
   in
   let target =
@@ -802,8 +802,8 @@ let sweep_cmd model_name hamiltonian n backend device_name jobs_file sweep_j
   let probe = model_of ~j:0.0 ~h:0.0 in
   let n = probe.Qturbo_models.Model.n in
   let inst =
-    resolve_backend ~backend ~device:device_name ~cutoff:None ~ramp:false
-      ~model_name:probe.Qturbo_models.Model.name ~n
+    resolve_backend ~reuse:(not no_plan_cache) ~backend ~device:device_name
+      ~cutoff:None ~ramp:false ~model_name:probe.Qturbo_models.Model.name ~n
   in
   if Qturbo_models.Model.is_driven probe then begin
     (* time-dependent sweep: re-discretize the model at each segment

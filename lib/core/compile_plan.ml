@@ -143,10 +143,98 @@ type t = {
 let support_of_target = Shape.support_of_target
 
 (* The device section of a plan key: the whole AAIS rendered, the
-   expensive half of the key on large devices — a cold build renders it
-   once and threads it down. *)
+   expensive half of the key on large devices (hundreds of KB at
+   n ≈ 100).  It depends only on the AAIS, which every job of a batch
+   and every request on a reused backend instance shares physically,
+   so renders are memoized per [Aais.t] by physical identity.  The
+   pool is the only mutable part of an [Aais.t] ([Variable.fresh]
+   appends to it), so an entry also records the pool's variable count
+   and a grown pool re-renders instead of being served a stale key.
+   A lookup with the plan cache disabled renders fresh, like every
+   other part of such a compile. *)
+type key_memo_entry = {
+  m_aais : Aais.t;
+  m_generic : bool;
+  m_vars : int;
+  mutable m_key : string;
+}
+
+type device_key_stats = { renders : int; memo_hits : int; memo_size : int }
+
+let key_memo_capacity = 16
+
+(* most recently used first; guarded by [key_memo_lock] *)
+let key_memo : key_memo_entry list ref = ref []
+let key_memo_lock = Mutex.create ()
+let key_renders = ref 0
+let key_memo_hits = ref 0
+
+let with_key_memo f =
+  Mutex.lock key_memo_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock key_memo_lock) f
+
+let render_device_key ~generic ~aais =
+  with_key_memo (fun () -> incr key_renders);
+  Printf.sprintf "g=%b|%s" generic (Shape.of_aais aais)
+
 let device_key ~(options : options) ~aais =
-  Printf.sprintf "g=%b|%s" options.generic_local_solver (Shape.of_aais aais)
+  let generic = options.generic_local_solver in
+  if not options.plan_cache then render_device_key ~generic ~aais
+  else
+    let vars = Variable.count aais.Aais.pool in
+    let is_entry e = e.m_aais == aais && e.m_generic = generic in
+    let cached =
+      with_key_memo (fun () ->
+          match List.find_opt is_entry !key_memo with
+          | Some e when e.m_vars = vars ->
+              incr key_memo_hits;
+              key_memo := e :: List.filter (fun x -> x != e) !key_memo;
+              Some e.m_key
+          | _ -> None)
+    in
+    match cached with
+    | Some key -> key
+    | None ->
+        (* render outside the lock: it is the slow part *)
+        let key = render_device_key ~generic ~aais in
+        let e =
+          { m_aais = aais; m_generic = generic; m_vars = vars; m_key = key }
+        in
+        with_key_memo (fun () ->
+            key_memo :=
+              List.filteri
+                (fun i _ -> i < key_memo_capacity)
+                (e :: List.filter (fun x -> not (is_entry x)) !key_memo));
+        key
+
+(* Point the memo entry for [aais] at [key], an equal string a device
+   part already holds (a plan built from another [Aais.t] of the same
+   structure, or loaded from the store), so the key is kept once. *)
+let share_device_key ~(options : options) ~aais key =
+  if options.plan_cache then
+    with_key_memo (fun () ->
+        List.iter
+          (fun e ->
+            if
+              e.m_aais == aais
+              && e.m_generic = options.generic_local_solver
+              && e.m_key != key && String.equal e.m_key key
+            then e.m_key <- key)
+          !key_memo)
+
+let device_key_stats () =
+  with_key_memo (fun () ->
+      {
+        renders = !key_renders;
+        memo_hits = !key_memo_hits;
+        memo_size = List.length !key_memo;
+      })
+
+let clear_key_memo () =
+  with_key_memo (fun () ->
+      key_memo := [];
+      key_renders := 0;
+      key_memo_hits := 0)
 
 (* Single point of truth for the plan-key format (the device section and
    the support section, joined as [Shape.key] joins them); [lint]'s
@@ -321,7 +409,8 @@ let device_cache_stats () = Plan_cache.stats device_cache
 
 let clear_caches () =
   Plan_cache.clear plan_cache;
-  Plan_cache.clear device_cache
+  Plan_cache.clear device_cache;
+  clear_key_memo ()
 
 (* test-only: plant a plan without the [admit] lint gate, so the
    hit-path re-lint can be exercised against a corrupted resident *)
@@ -501,30 +590,35 @@ let obtain_for_support ~options ~aais ~support =
       store_persist p;
       (p, Built)
     in
-    match Plan_cache.find plan_cache key with
-    | Some p ->
-        if !lint_on_hit && Diagnostic.has_errors (lint p) then begin
-          (* a resident plan that no longer lints is never served: pull
-             it, count the rejection, and rebuild from scratch *)
-          Plan_cache.reject plan_cache key;
-          Plan_cache.remove plan_cache key;
-          Log.warn (fun m -> m "plan lint pulled a resident cache entry");
-          rebuild ()
-        end
-        else begin
-          !stage_hook "plan-cache-hit";
-          (p, Cached)
-        end
-    | None -> (
-        match store_fetch ~key with
-        | Some p ->
-            !stage_hook "plan-store-hit";
-            Plan_cache.add plan_cache p.key p;
-            (* the deserialized device part is shareable too: admit it so
-               fresh shapes on the same device skip the prepare pass *)
-            Plan_cache.add device_cache p.device.device_key p.device;
-            (p, Stored)
-        | None -> rebuild ())
+    let ((p, _) as obtained) =
+      match Plan_cache.find plan_cache key with
+      | Some p ->
+          if !lint_on_hit && Diagnostic.has_errors (lint p) then begin
+            (* a resident plan that no longer lints is never served:
+               pull it, count the rejection, and rebuild from scratch *)
+            Plan_cache.reject plan_cache key;
+            Plan_cache.remove plan_cache key;
+            Log.warn (fun m -> m "plan lint pulled a resident cache entry");
+            rebuild ()
+          end
+          else begin
+            !stage_hook "plan-cache-hit";
+            (p, Cached)
+          end
+      | None -> (
+          match store_fetch ~key with
+          | Some p ->
+              !stage_hook "plan-store-hit";
+              Plan_cache.add plan_cache p.key p;
+              (* the deserialized device part is shareable too: admit it
+                 so fresh shapes on the same device skip the prepare
+                 pass *)
+              Plan_cache.add device_cache p.device.device_key p.device;
+              (p, Stored)
+          | None -> rebuild ())
+    in
+    share_device_key ~options ~aais p.device.device_key;
+    obtained
 
 let obtain ~options ~aais ~target =
   obtain_for_support ~options ~aais ~support:(support_of_target target)

@@ -138,6 +138,15 @@ type t = {
 val support_of_target : Pauli_sum.t -> Pauli_string.t list
 (** Non-identity support, in term order (= {!Shape.support_of_target}). *)
 
+val device_key : options:options -> aais:Aais.t -> string
+(** The device section of {!plan_key}: [aais] rendered through
+    {!Shape.of_aais}, prefixed by the classification-affecting option.
+    Memoized per [Aais.t] by physical identity (at most 16 entries,
+    most recently used kept), each entry checked against the pool's
+    {!Variable.count} so a pool grown by {!Variable.fresh} re-renders.
+    After a plan lookup the entry holds the very string the plan's
+    device part holds.  [options.plan_cache = false] renders fresh. *)
+
 val plan_key : options:options -> aais:Aais.t -> target:Pauli_sum.t -> string
 (** The structural cache key this target would compile under.  Equal
     keys ⇒ interchangeable plans; coefficients do not contribute. *)
@@ -357,9 +366,17 @@ val cache_per_key : unit -> (string * Plan_cache.key_stats) list
 
 val device_cache_stats : unit -> Plan_cache.stats
 
+type device_key_stats = {
+  renders : int;  (** {!Shape.of_aais} renders done by {!device_key} *)
+  memo_hits : int;  (** {!device_key} calls served from the memo *)
+  memo_size : int;  (** resident memo entries *)
+}
+
+val device_key_stats : unit -> device_key_stats
+
 val clear_caches : unit -> unit
-(** Drop all cached plans/devices and zero the counters (tests,
-    benchmarks and cold-path measurement). *)
+(** Drop all cached plans/devices and memoized device keys and zero
+    the counters (tests, benchmarks and cold-path measurement). *)
 
 val cache_insert_unchecked : t -> unit
 (** Insert a plan under its key {e without} the {!admit} lint gate,

@@ -119,9 +119,19 @@ let of_string s =
     s;
   of_list !pairs
 
+(* Dense rendering, one character per site: filled with 'I' and then
+   the (few) non-identity sites, so it costs O(len + weight) instead of
+   a binary search per site.  Plan keys render every support term this
+   way, which at n = 1000 is a megabyte of characters per lookup. *)
 let to_string ?n t =
   let len = match n with Some n -> n | None -> max_site t + 1 in
-  String.init len (fun i -> (Pauli.op_to_string (op_at t i)).[0])
+  let b = Bytes.make len 'I' in
+  Array.iter
+    (fun e ->
+      let s = site e in
+      if s < len then Bytes.set b s (Pauli.op_to_string (op e)).[0])
+    t;
+  Bytes.unsafe_to_string b
 
 let pp ppf t =
   if is_identity t then Format.fprintf ppf "I"

@@ -44,12 +44,42 @@ let resolve_model ~hamiltonian ~model_name ~n ~j ~h =
   | None, Some name -> build_model ~name ~n ~j ~h
   | None, None -> failwith "provide either --model or --hamiltonian"
 
+(* Backend instances, reused across requests and commands.  An instance
+   is a function of exactly the [instantiate] arguments — never of J, h
+   or t_tar — so a cached one is the instance a fresh call would build,
+   and its [aais] is the one resident plans and memoized device keys
+   already point to: a warm request renders and instantiates nothing.
+   The capacity covers a daemon client's working set of shapes (a
+   dozen); it is not a tuning knob. *)
+let instances : Backend.instance Qturbo_core.Plan_cache.t =
+  Qturbo_core.Plan_cache.create ~capacity:16
+
+let instance_stats () = Qturbo_core.Plan_cache.stats instances
+let clear_instances () = Qturbo_core.Plan_cache.clear instances
+
 (* Resolve --backend/--device/--cutoff through the registry, rejecting
-   explicitly-passed flags the chosen backend does not declare. *)
-let resolve_backend ~backend ~device ~cutoff ~ramp ~model_name ~n =
+   explicitly-passed flags the chosen backend does not declare.
+   [~reuse:false] (a plan-cache-disabled request) builds a fresh
+   instance; a failed [instantiate] raises before anything is cached. *)
+let resolve_backend ~reuse ~backend ~device ~cutoff ~ramp ~model_name ~n =
   let b = Backend.find_exn backend in
   Backend.reject_unsupported b ~device ~cutoff ~ramp;
-  b.Backend.instantiate ?device ?cutoff ~model_name ~n ()
+  let instantiate () =
+    b.Backend.instantiate ?device ?cutoff ~model_name ~n ()
+  in
+  if not reuse then instantiate ()
+  else
+    let opt = function None -> "-" | Some s -> Printf.sprintf "%S" s in
+    let key =
+      Printf.sprintf "%S %s %s %S %d" backend (opt device) (opt cutoff)
+        model_name n
+    in
+    match Qturbo_core.Plan_cache.find instances key with
+    | Some inst -> inst
+    | None ->
+        let inst = instantiate () in
+        Qturbo_core.Plan_cache.add instances key inst;
+        inst
 
 let static_target model =
   Qturbo_pauli.Pauli_sum.drop_identity
@@ -117,6 +147,22 @@ let plan_cache_json () =
               k.Qturbo_core.Plan_cache.key_evictions
               k.Qturbo_core.Plan_cache.key_discarded)
           per_key))
+
+(* Daemon-only telemetry (the [stats] op), kept out of the per-compile
+   [plan_cache] objects so CLI and daemon reports stay byte-identical. *)
+let instances_json () =
+  let s = instance_stats () in
+  Printf.sprintf
+    {|{"hits":%d,"misses":%d,"evictions":%d,"size":%d,"capacity":%d}|}
+    s.Qturbo_core.Plan_cache.hits s.Qturbo_core.Plan_cache.misses
+    s.Qturbo_core.Plan_cache.evictions s.Qturbo_core.Plan_cache.size
+    s.Qturbo_core.Plan_cache.capacity
+
+let device_keys_json () =
+  let s = Qturbo_core.Compile_plan.device_key_stats () in
+  Printf.sprintf {|{"renders":%d,"memo_hits":%d,"memo_size":%d}|}
+    s.Qturbo_core.Compile_plan.renders s.Qturbo_core.Compile_plan.memo_hits
+    s.Qturbo_core.Compile_plan.memo_size
 
 let plan_store_json () =
   match Qturbo_core.Compile_plan.store_stats () with
@@ -248,7 +294,7 @@ let options_with ~domains ~best_effort ~deadline ~no_plan_cache =
     plan_cache = not no_plan_cache;
   }
 
-let resolve_job (j : Protocol.job) ~ramp =
+let resolve_job (j : Protocol.job) ~ramp ~reuse =
   let model =
     resolve_model ~hamiltonian:j.Protocol.hamiltonian
       ~model_name:j.Protocol.model ~n:j.Protocol.n ~j:j.Protocol.j
@@ -256,15 +302,17 @@ let resolve_job (j : Protocol.job) ~ramp =
   in
   let n = model.Qturbo_models.Model.n in
   let inst =
-    resolve_backend ~backend:j.Protocol.backend ~device:j.Protocol.device
-      ~cutoff:j.Protocol.cutoff ~ramp
+    resolve_backend ~reuse ~backend:j.Protocol.backend
+      ~device:j.Protocol.device ~cutoff:j.Protocol.cutoff ~ramp
       ~model_name:model.Qturbo_models.Model.name ~n
   in
   (model, inst)
 
 let handle_compile (c : Protocol.compile) ~deadline_cap =
   let j = c.Protocol.job in
-  let model, inst = resolve_job j ~ramp:c.Protocol.ramp in
+  let model, inst =
+    resolve_job j ~ramp:c.Protocol.ramp ~reuse:(not c.Protocol.no_plan_cache)
+  in
   if Qturbo_models.Model.is_driven model then
     failwith "service compile supports static models only (like --json)";
   let deadline =
@@ -283,12 +331,12 @@ let handle_compile (c : Protocol.compile) ~deadline_cap =
     ~ramp:c.Protocol.ramp ()
 
 let handle_check (j : Protocol.job) =
-  let model, inst = resolve_job j ~ramp:false in
+  let model, inst = resolve_job j ~ramp:false ~reuse:true in
   check_report_json ~inst ~aais:inst.Backend.aais
     ~target:(static_target model) ~t_tar:j.Protocol.t_tar ()
 
 let handle_lint (j : Protocol.job) =
-  let model, inst = resolve_job j ~ramp:false in
+  let model, inst = resolve_job j ~ramp:false ~reuse:true in
   lint_report_json ~model_label:model.Qturbo_models.Model.name
     ~backend:j.Protocol.backend ~inst ~target:(static_target model) ()
 
@@ -298,12 +346,11 @@ let handle_sweep (s : Protocol.sweep) =
     resolve_model ~hamiltonian:j.Protocol.hamiltonian
       ~model_name:j.Protocol.model ~n:j.Protocol.n ~j:jc ~h
   in
-  let probe = model_of ~j:0.0 ~h:0.0 in
-  let n = probe.Qturbo_models.Model.n in
-  let inst =
-    resolve_backend ~backend:j.Protocol.backend ~device:j.Protocol.device
-      ~cutoff:j.Protocol.cutoff ~ramp:false
-      ~model_name:probe.Qturbo_models.Model.name ~n
+  (* the probe is the model at the default coefficients, as in the CLI *)
+  let probe, inst =
+    resolve_job
+      { j with Protocol.j = 0.0; h = 0.0 }
+      ~ramp:false ~reuse:(not s.Protocol.sweep_no_plan_cache)
   in
   let options =
     options_with ~domains:s.Protocol.sweep_domains

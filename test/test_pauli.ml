@@ -494,6 +494,27 @@ let test_scale_prunes_underflow () =
   Alcotest.(check (list (float 0.0))) "no coefficients" []
     (List.map snd (Pauli_sum.terms h))
 
+(* [to_string] fills the dense spelling directly; it must equal the
+   per-site definition, padded or truncated to [n]. *)
+let prop_to_string_per_site =
+  let sparse =
+    QCheck.Gen.(
+      list_size (int_range 0 5) (pair (int_range 0 40) op_gen) >|= fun pairs ->
+      Pauli_string.of_list
+        (List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pairs))
+  in
+  QCheck.Test.make ~name:"to_string = per-site spelling" ~count:500
+    (QCheck.pair
+       (QCheck.make ~print:(Format.asprintf "%a" Pauli_string.pp) sparse)
+       QCheck.(int_range 0 45))
+    (fun (s, pad) ->
+      let per_site len =
+        String.init len (fun i -> (Pauli.op_to_string (Pauli_string.op_at s i)).[0])
+      in
+      let n = Pauli_string.max_site s + 1 in
+      String.equal (Pauli_string.to_string s) (per_site n)
+      && String.equal (Pauli_string.to_string ~n:pad s) (per_site pad))
+
 let () =
   Alcotest.run "pauli"
     [
@@ -547,4 +568,5 @@ let () =
             prop_arith_matches_fold;
             prop_rydberg_matches_fold;
           ] );
+      ("render", [ QCheck_alcotest.to_alcotest prop_to_string_per_site ]);
     ]

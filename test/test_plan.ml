@@ -352,6 +352,116 @@ let test_td_multi_segment_unchanged () =
   check_bits "t_sim" a.Td_compiler.t_sim b.Td_compiler.t_sim;
   check_bits "error" a.Td_compiler.error_l1 b.Td_compiler.error_l1
 
+(* ---- device-key memo ---- *)
+
+module Backend = Qturbo_backend.Backend
+
+let fresh_render ?(generic = false) aais =
+  Printf.sprintf "g=%b|%s" generic (Shape.of_aais aais)
+
+let key_stats = Compile_plan.device_key_stats
+
+let test_memo_matches_fresh_render () =
+  Compile_plan.clear_caches ();
+  List.iter
+    (fun (backend, model_name, n) ->
+      let b = Backend.find_exn backend in
+      let aais = (b.Backend.instantiate ~model_name ~n ()).Backend.aais in
+      List.iter
+        (fun generic ->
+          let options =
+            { Compiler.default_options with Compiler.generic_local_solver = generic }
+          in
+          let k0 = key_stats () in
+          let first = Compile_plan.device_key ~options ~aais in
+          let again = Compile_plan.device_key ~options ~aais in
+          let k1 = key_stats () in
+          let tag = Printf.sprintf "%s %s n=%d g=%b" backend model_name n generic in
+          Alcotest.(check string) (tag ^ ": first = fresh render")
+            (fresh_render ~generic aais) first;
+          Alcotest.(check string) (tag ^ ": memo = fresh render")
+            (fresh_render ~generic aais) again;
+          Alcotest.(check int) (tag ^ ": one render") 1
+            (k1.Compile_plan.renders - k0.Compile_plan.renders);
+          Alcotest.(check int) (tag ^ ": one memo hit") 1
+            (k1.Compile_plan.memo_hits - k0.Compile_plan.memo_hits))
+        [ false; true ])
+    [
+      ("rydberg", "ising-cycle", 7);
+      ("heisenberg", "heis-chain", 6);
+      ("iontrap", "ising-chain", 5);
+    ]
+
+(* The pool is the one mutable part of an AAIS: a variable appended
+   after the render must invalidate the memoized key. *)
+let test_memo_rerenders_grown_pool () =
+  Compile_plan.clear_caches ();
+  let options = Compiler.default_options in
+  let ryd = rydberg_for "ising-chain" 4 in
+  let aais = ryd.Rydberg.aais in
+  let before = Compile_plan.device_key ~options ~aais in
+  ignore
+    (Variable.fresh aais.Aais.pool ~name:"grown" ~kind:Variable.Runtime_dynamic
+       ~lo:0.0 ~hi:1.0 ());
+  let k0 = key_stats () in
+  let after = Compile_plan.device_key ~options ~aais in
+  let k1 = key_stats () in
+  Alcotest.(check int) "re-rendered" 1
+    (k1.Compile_plan.renders - k0.Compile_plan.renders);
+  Alcotest.(check string) "grown key = fresh render" (fresh_render aais) after;
+  Alcotest.(check bool) "grown key differs" false (String.equal before after);
+  (* the re-render replaced the stale entry instead of adding one *)
+  Alcotest.(check int) "one entry" 1 k1.Compile_plan.memo_size;
+  ignore (Compile_plan.device_key ~options ~aais);
+  Alcotest.(check int) "then memoized again" 1
+    ((key_stats ()).Compile_plan.memo_hits - k1.Compile_plan.memo_hits)
+
+let test_memo_cleared_and_bounded () =
+  let options = Compiler.default_options in
+  let devices =
+    List.init 20 (fun i -> (rydberg_for "ising-chain" (2 + i)).Rydberg.aais)
+  in
+  Compile_plan.clear_caches ();
+  List.iter (fun aais -> ignore (Compile_plan.device_key ~options ~aais)) devices;
+  let k = key_stats () in
+  Alcotest.(check int) "20 renders" 20 k.Compile_plan.renders;
+  Alcotest.(check bool) "bounded" true (k.Compile_plan.memo_size < 20);
+  (* the most recent device is still memoized *)
+  ignore (Compile_plan.device_key ~options ~aais:(List.nth devices 19));
+  Alcotest.(check int) "recent entry hits" 1 (key_stats ()).Compile_plan.memo_hits;
+  Compile_plan.clear_caches ();
+  let k = key_stats () in
+  Alcotest.(check int) "cleared: empty" 0 k.Compile_plan.memo_size;
+  Alcotest.(check int) "cleared: renders zeroed" 0 k.Compile_plan.renders;
+  Alcotest.(check int) "cleared: hits zeroed" 0 k.Compile_plan.memo_hits;
+  ignore (Compile_plan.device_key ~options ~aais:(List.nth devices 19));
+  Alcotest.(check int) "cleared: next lookup renders" 1
+    (key_stats ()).Compile_plan.renders;
+  (* a disabled plan cache renders fresh and leaves the memo alone *)
+  let options = { options with Compiler.plan_cache = false } in
+  ignore (Compile_plan.device_key ~options ~aais:(List.nth devices 19));
+  let k = key_stats () in
+  Alcotest.(check int) "disabled: renders" 2 k.Compile_plan.renders;
+  Alcotest.(check int) "disabled: no memo hit" 0 k.Compile_plan.memo_hits
+
+(* Two structurally equal devices share one plan; after the lookup the
+   second device's memoized key is the plan's own string, not a copy. *)
+let test_memo_shares_plan_key_string () =
+  Compile_plan.clear_caches ();
+  let options = Compiler.default_options in
+  let target = static_target "ising-chain" 4 in
+  let a = (rydberg_for "ising-chain" 4).Rydberg.aais in
+  let b = (rydberg_for "ising-chain" 4).Rydberg.aais in
+  let pa, _ = Compile_plan.obtain ~options ~aais:a ~target in
+  let plan_string = pa.Compile_plan.device.Compile_plan.device_key in
+  Alcotest.(check bool) "build keeps the rendered string" true
+    (Compile_plan.device_key ~options ~aais:a == plan_string);
+  let pb, prov = Compile_plan.obtain ~options ~aais:b ~target in
+  Alcotest.(check bool) "equal devices share the plan" true
+    (prov = Compile_plan.Cached && pb == pa);
+  Alcotest.(check bool) "memo adopts the plan's string" true
+    (Compile_plan.device_key ~options ~aais:b == plan_string)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "plan"
@@ -380,5 +490,12 @@ let () =
         [
           quick "plan-build and cache-hit hooks" test_stage_hook_plan_build;
           quick "compile_batch == individual compiles" test_compile_batch_matches_individual;
+        ] );
+      ( "key-memo",
+        [
+          quick "memo = fresh render, every backend" test_memo_matches_fresh_render;
+          quick "grown pool re-renders" test_memo_rerenders_grown_pool;
+          quick "bounded, emptied by clear_caches" test_memo_cleared_and_bounded;
+          quick "shares the plan's key string" test_memo_shares_plan_key_string;
         ] );
     ]

@@ -120,7 +120,10 @@ let test_handler_basics () =
         (fun k ->
           if not (List.mem_assoc k fields) then
             Alcotest.failf "stats lacks %S: %s" k resp)
-        [ "requests"; "uptime_seconds"; "plan_cache"; "plan_store" ]
+        [
+          "requests"; "uptime_seconds"; "plan_cache"; "plan_store";
+          "instances"; "device_keys";
+        ]
   | _ -> Alcotest.fail "stats result is not an object"
 
 let test_handler_compile_and_warm_cache () =
@@ -192,19 +195,27 @@ let test_handler_cli_parity () =
     Ops.resolve_model ~hamiltonian:None ~model_name:(Some "ising-chain") ~n:5
       ~j:0.0 ~h:0.0
   in
+  (* a fresh instance, as a CLI process builds *)
   let inst =
-    Ops.resolve_backend ~backend:"rydberg" ~device:None ~cutoff:None
-      ~ramp:false ~model_name:model.Qturbo_models.Model.name
+    Ops.resolve_backend ~reuse:false ~backend:"rydberg" ~device:None
+      ~cutoff:None ~ramp:false ~model_name:model.Qturbo_models.Model.name
       ~n:model.Qturbo_models.Model.n
   in
   let direct =
-    Ops.compile_report_json ~options:Qturbo_core.Compiler.default_options
-      ~inst
-      ~target:(Ops.static_target model)
-      ~t_tar:1.0 ~show_pulse:false ~ramp:false ()
+    J.emit
+      (drop_plan_cache
+         (J.parse_exn
+            (Ops.compile_report_json
+               ~options:Qturbo_core.Compiler.default_options ~inst
+               ~target:(Ops.static_target model) ~t_tar:1.0 ~show_pulse:false
+               ~ramp:false ())))
   in
-  Alcotest.(check string) "daemon result = CLI --json payload"
-    (J.emit (drop_plan_cache (J.parse_exn direct)))
+  Alcotest.(check string) "daemon result = CLI --json payload" direct
+    (J.emit (drop_plan_cache (response_result resp)));
+  (* a warm request on the daemon's reused instance hits the plan the
+     fresh instance built: still the same payload *)
+  let resp, _ = handle {|{"op":"compile","model":"ising-chain","n":5}|} in
+  Alcotest.(check string) "warm daemon result = CLI --json payload" direct
     (J.emit (drop_plan_cache (response_result resp)))
 
 (* A time-dependent daemon sweep fans its jobs out over the batch
@@ -221,8 +232,8 @@ let test_handler_td_sweep_parity () =
       ~j:0.0 ~h:0.0
   in
   let inst =
-    Ops.resolve_backend ~backend:"rydberg" ~device:None ~cutoff:None
-      ~ramp:false ~model_name:probe.Qturbo_models.Model.name
+    Ops.resolve_backend ~reuse:false ~backend:"rydberg" ~device:None
+      ~cutoff:None ~ramp:false ~model_name:probe.Qturbo_models.Model.name
       ~n:probe.Qturbo_models.Model.n
   in
   let td_jobs =
@@ -260,6 +271,107 @@ let test_handler_td_sweep_parity () =
   Alcotest.(check string) "2 batch workers = the sequential batch"
     (J.emit (drop_batch_domains (drop_plan_cache (cli 1))))
     (J.emit (drop_batch_domains daemon))
+
+(* ---- backend instance reuse ---- *)
+
+module CP = Qturbo_core.Compile_plan
+module PC = Qturbo_core.Plan_cache
+
+(* A warm compile of a resident shape instantiates nothing (an instance
+   cache hit, no miss) and renders nothing (a device-key memo hit). *)
+let test_warm_compile_renders_nothing () =
+  CP.clear_caches ();
+  let req = {|{"op":"compile","model":"kitaev","n":6,"h":0.7}|} in
+  let cold = response_result (fst (handle req)) in
+  let i0 = Ops.instance_stats () and k0 = CP.device_key_stats () in
+  let warm =
+    response_result
+      (fst (handle {|{"op":"compile","model":"kitaev","n":6,"h":0.9}|}))
+  in
+  let i1 = Ops.instance_stats () and k1 = CP.device_key_stats () in
+  Alcotest.(check int) "no instantiate" 0 (i1.PC.misses - i0.PC.misses);
+  Alcotest.(check int) "instance reused" 1 (i1.PC.hits - i0.PC.hits);
+  Alcotest.(check int) "no key render" 0 (k1.CP.renders - k0.CP.renders);
+  Alcotest.(check int) "key memo hit" 1 (k1.CP.memo_hits - k0.CP.memo_hits);
+  let hit r = J.member_exn "hit" (J.member_exn "plan_cache" r) in
+  Alcotest.(check bool) "cold built" true (hit cold = J.Bool false);
+  Alcotest.(check bool) "warm hit" true (hit warm = J.Bool true);
+  (* check and lint resolve through the same cache *)
+  ignore (response_result (fst (handle {|{"op":"check","model":"kitaev","n":6}|})));
+  ignore (response_result (fst (handle {|{"op":"lint","model":"kitaev","n":6}|})));
+  let i2 = Ops.instance_stats () in
+  Alcotest.(check int) "check + lint reuse" 2 (i2.PC.hits - i1.PC.hits);
+  Alcotest.(check int) "check + lint instantiate nothing" 0
+    (i2.PC.misses - i1.PC.misses);
+  (* a static sweep too, and its 4 jobs render no key *)
+  ignore
+    (response_result
+       (fst
+          (handle
+             {|{"op":"sweep","model":"kitaev","n":6,"sweep_h":"0.5:0.8:4"}|})));
+  let i3 = Ops.instance_stats () and k3 = CP.device_key_stats () in
+  Alcotest.(check int) "sweep reuses" 1 (i3.PC.hits - i2.PC.hits);
+  Alcotest.(check int) "sweep renders nothing" 0 (k3.CP.renders - k1.CP.renders)
+
+let resolve ?(reuse = true) ?device ?cutoff backend model_name n =
+  Ops.resolve_backend ~reuse ~backend ~device ~cutoff ~ramp:false ~model_name
+    ~n
+
+let test_instance_lru_and_failures () =
+  Ops.clear_instances ();
+  let cap = (Ops.instance_stats ()).PC.capacity in
+  Alcotest.(check bool) "holds a serve client's 11 shapes" true (cap >= 11);
+  let shape i = resolve "heisenberg" "heis-chain" (i + 2) in
+  let first = shape 0 in
+  for i = 1 to cap do
+    ignore (shape i)
+  done;
+  let s = Ops.instance_stats () in
+  Alcotest.(check int) "misses" (cap + 1) s.PC.misses;
+  Alcotest.(check int) "one eviction at capacity" 1 s.PC.evictions;
+  Alcotest.(check int) "size = capacity" cap s.PC.size;
+  (* the least recently used shape was the one evicted *)
+  let again = shape 0 in
+  Alcotest.(check bool) "evicted shape rebuilt" true (again != first);
+  Alcotest.(check int) "evicted shape misses" (cap + 2)
+    (Ops.instance_stats ()).PC.misses;
+  Alcotest.(check bool) "resident shape reused" true (shape 0 == again);
+  (* a failed instantiate is never cached *)
+  let failing () =
+    match resolve ~device:"no-such-device" "rydberg" "ising-chain" 4 with
+    | _ -> Alcotest.fail "unknown device should fail"
+    | exception Failure _ -> ()
+  in
+  let before = Ops.instance_stats () in
+  failing ();
+  failing ();
+  let after = Ops.instance_stats () in
+  Alcotest.(check int) "both attempts miss" 2 (after.PC.misses - before.PC.misses);
+  Alcotest.(check int) "nothing admitted" before.PC.size after.PC.size;
+  Alcotest.(check int) "nothing evicted" before.PC.evictions after.PC.evictions;
+  match resolve ~cutoff:"bogus" "rydberg" "ising-chain" 4 with
+  | _ -> Alcotest.fail "bad cutoff should fail"
+  | exception Failure _ ->
+      Alcotest.(check int) "bad cutoff admitted nothing" before.PC.size
+        (Ops.instance_stats ()).PC.size
+
+(* no_plan_cache builds everything fresh: its own instance and its own
+   key render, and the reuse counters do not move *)
+let test_no_plan_cache_builds_fresh () =
+  let reused = resolve "rydberg" "ising-chain" 4 in
+  let fresh = resolve ~reuse:false "rydberg" "ising-chain" 4 in
+  Alcotest.(check bool) "fresh instance" true (fresh != reused);
+  Alcotest.(check bool) "fresh AAIS" true
+    (fresh.Ops.Backend.aais != reused.Ops.Backend.aais);
+  let req = {|{"op":"compile","model":"ising-chain","n":4,"no_plan_cache":true}|} in
+  let i0 = Ops.instance_stats () and k0 = CP.device_key_stats () in
+  ignore (response_result (fst (handle req)));
+  ignore (response_result (fst (handle req)));
+  let i1 = Ops.instance_stats () and k1 = CP.device_key_stats () in
+  Alcotest.(check int) "no instance hits" i0.PC.hits i1.PC.hits;
+  Alcotest.(check int) "no instance misses" i0.PC.misses i1.PC.misses;
+  Alcotest.(check int) "each request renders" 2 (k1.CP.renders - k0.CP.renders);
+  Alcotest.(check int) "no memo hits" k0.CP.memo_hits k1.CP.memo_hits
 
 (* ---- end-to-end over a real socket ---- *)
 
@@ -321,4 +433,13 @@ let () =
         ] );
       ( "socket",
         [ Alcotest.test_case "end to end" `Quick test_socket_end_to_end ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "warm compile renders nothing" `Quick
+            test_warm_compile_renders_nothing;
+          Alcotest.test_case "instance LRU, failures uncached" `Quick
+            test_instance_lru_and_failures;
+          Alcotest.test_case "no_plan_cache builds fresh" `Quick
+            test_no_plan_cache_builds_fresh;
+        ] );
     ]

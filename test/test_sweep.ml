@@ -554,6 +554,181 @@ let test_td_batch_rejects_up_front () =
             "no solve ran" false
             (List.mem "precheck" !stages))
 
+(* ---- one device-key render per batch ---- *)
+
+(* Each reference compile runs on a freshly built AAIS, so it renders
+   its own device key — one render per job, as before the key memo —
+   while plans are still shared through the cache. *)
+let renders () = (Compile_plan.device_key_stats ()).Compile_plan.renders
+
+let test_static_batch_renders_once () =
+  let jobs = series 5 16 in
+  let options = { Compiler.default_options with Compiler.domains = 1 } in
+  Compile_plan.clear_caches ();
+  let per_job =
+    List.map
+      (fun (target, t_tar) ->
+        let aais = (Rydberg.build ~spec:relaxed_plane ~n:5).Rydberg.aais in
+        Compiler.compile ~options ~aais ~target ~t_tar ())
+      jobs
+  in
+  Alcotest.(check int) "per-job compiles render per job" 16 (renders ());
+  let batch = run_batch ~options ~batch_domains:2 jobs in
+  Alcotest.(check int) "the batch renders once" 1 (renders ());
+  check_results_bitwise "batch vs per-job renders" per_job batch
+
+let test_td_batch_renders_once () =
+  Compile_plan.clear_caches ();
+  let per_job =
+    List.map
+      (fun (segments, t_tar) ->
+        let aais, model = td_setup () in
+        Td_compiler.compile ~aais ~model ~t_tar ~segments ())
+      td_jobs
+  in
+  Alcotest.(check int) "per-job compiles render per job"
+    (List.length td_jobs) (renders ());
+  let batch = td_batch ~batch_domains:2 td_jobs in
+  Alcotest.(check int) "the batch renders once" 1 (renders ());
+  check_td_bitwise "td batch vs per-job renders" per_job batch
+
+(* ---- the committed perf trajectory ---- *)
+
+(* bench/trajectory.jsonl: one line per performance change, each a
+   strict-JSON object carrying the provenance and, per benchmark
+   workload, the parent's and the change's median and interquartile
+   range of every end-to-end metric named in BENCHMARK.json; null
+   wherever a figure was not recorded. *)
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+let repo_file name =
+  (* dune runs tests from _build/default/test *)
+  List.find Sys.file_exists [ Filename.concat ".." name; name ]
+
+let test_trajectory_schema () =
+  let spec =
+    Json.parse_exn
+      (String.concat "\n" (read_lines (repo_file "BENCHMARK.json")))
+  in
+  let names field =
+    match Json.member_exn field spec with
+    | Json.Array items ->
+        List.map
+          (fun m ->
+            match Json.member_exn "name" m with
+            | Json.String s -> s
+            | _ -> Alcotest.fail "BENCHMARK.json: name is not a string")
+          items
+    | _ -> Alcotest.failf "BENCHMARK.json: %s is not a list" field
+  in
+  let workloads = names "workloads" and metrics = names "end_to_end" in
+  let fail line fmt =
+    Printf.ksprintf (fun m -> Alcotest.failf "line %d: %s" line m) fmt
+  in
+  let fields line ~what keys = function
+    | Json.Object kv ->
+        let got = List.map fst kv in
+        if List.sort compare got <> List.sort compare keys then
+          fail line "%s has fields [%s], expected [%s]" what
+            (String.concat "," got) (String.concat "," keys);
+        kv
+    | _ -> fail line "%s is not an object" what
+  in
+  let is_int = function
+    | Json.Number f -> Float.is_integer f
+    | _ -> false
+  in
+  let nullable ok = function Json.Null -> true | v -> ok v in
+  let check line what ok v = if not (ok v) then fail line "bad %s" what in
+  let lines =
+    List.filter (fun l -> String.trim l <> "")
+      (read_lines (repo_file "bench/trajectory.jsonl"))
+  in
+  Alcotest.(check bool) "has lines" true (lines <> []);
+  let last_pr = ref 0 and backfilled = ref [] in
+  List.iteri
+    (fun i text ->
+      let line = i + 1 in
+      let v =
+        match Json.parse text with
+        | Ok v -> v
+        | Error msg -> fail line "not strict JSON: %s" msg
+      in
+      let top =
+        fields line ~what:"line"
+          [ "pr"; "title"; "backfilled"; "provenance"; "workloads" ] v
+      in
+      let pr =
+        match List.assoc "pr" top with
+        | Json.Number f when Float.is_integer f -> int_of_float f
+        | _ -> fail line "pr is not an integer"
+      in
+      if pr <= !last_pr then fail line "pr %d does not increase" pr;
+      last_pr := pr;
+      check line "title" (function Json.String _ -> true | _ -> false)
+        (List.assoc "title" top);
+      (match List.assoc "backfilled" top with
+      | Json.Bool true -> backfilled := pr :: !backfilled
+      | Json.Bool false -> ()
+      | _ -> fail line "backfilled is not a bool");
+      let prov =
+        fields line ~what:"provenance" [ "cores"; "ocaml"; "rev"; "parent_rev" ]
+          (List.assoc "provenance" top)
+      in
+      let str = function Json.String _ -> true | _ -> false in
+      check line "cores" (nullable is_int) (List.assoc "cores" prov);
+      check line "ocaml" (nullable str) (List.assoc "ocaml" prov);
+      check line "rev" (nullable str) (List.assoc "rev" prov);
+      check line "parent_rev" str (List.assoc "parent_rev" prov);
+      let per_workload =
+        fields line ~what:"workloads" workloads (List.assoc "workloads" top)
+      in
+      List.iter
+        (fun (w, wv) ->
+          let kv = fields line ~what:w [ "pairs"; "seeds"; "metrics" ] wv in
+          check line (w ^ " pairs") (nullable is_int) (List.assoc "pairs" kv);
+          check line (w ^ " seeds")
+            (nullable (function
+              | Json.Array seeds -> List.for_all is_int seeds
+              | _ -> false))
+            (List.assoc "seeds" kv);
+          let ms =
+            fields line ~what:(w ^ " metrics") metrics (List.assoc "metrics" kv)
+          in
+          List.iter
+            (fun (m, mv) ->
+              let sides =
+                fields line ~what:(w ^ "." ^ m) [ "parent"; "change" ] mv
+              in
+              List.iter
+                (fun (side, sv) ->
+                  let what = String.concat "." [ w; m; side ] in
+                  let kv = fields line ~what [ "median"; "iqr" ] sv in
+                  let num = function Json.Number _ -> true | _ -> false in
+                  check line (what ^ ".median") (nullable num)
+                    (List.assoc "median" kv);
+                  check line (what ^ ".iqr")
+                    (nullable (function
+                      | Json.Array [ Json.Number lo; Json.Number hi ] -> lo <= hi
+                      | _ -> false))
+                    (List.assoc "iqr" kv))
+                sides)
+            ms)
+        per_workload)
+    lines;
+  Alcotest.(check (list int)) "PRs 13-15 are backfilled" [ 13; 14; 15 ]
+    (List.sort compare !backfilled)
+
 let () =
   Alcotest.run "sweep"
     [
@@ -589,6 +764,18 @@ let () =
             test_batch_counts_one_miss;
           Alcotest.test_case "td segment sweep single miss" `Quick
             test_td_segment_sweep_single_miss;
+        ] );
+      ( "renders",
+        [
+          Alcotest.test_case "static batch renders once" `Quick
+            test_static_batch_renders_once;
+          Alcotest.test_case "td batch renders once" `Quick
+            test_td_batch_renders_once;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "trajectory.jsonl schema" `Quick
+            test_trajectory_schema;
         ] );
       ( "td-batch",
         [
