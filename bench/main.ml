@@ -1,6 +1,7 @@
 (* Benchmark harness regenerating every table and figure of the paper's
    evaluation (§7), plus the design-choice ablations called out in
-   DESIGN.md and Bechamel micro-benchmarks of each experiment's kernel.
+   DESIGN.md.  End-to-end performance is measured by perfbench/ and
+   recorded in bench/trajectory.jsonl.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- table1 fig3  -- run a subset
@@ -1030,329 +1031,6 @@ let ext_segments () =
     ~title:"Extension: piecewise-segment convergence (MIS chain, n = 4)" t
 
 (* ------------------------------------------------------------------ *)
-(* Multicore throughput and compiled-kernel speedup                    *)
-
-(* Whole-sweep throughput, not per-point timing: concurrent compiles
-   perturb each other's clocks, so the honest parallel measurement is
-   the wall time of the complete Fig. 3 Ising-cycle sweep with points
-   distributed over the pool, against the same sweep run sequentially.
-   Also checks the parallel run's outputs bitwise against the
-   sequential ones, and measures compiled-kernel vs interpreted channel
-   evaluation.  Results land in BENCH_parallel.json. *)
-let parallel () =
-  let name = "ising-cycle" in
-  let sizes = if !quick then [ 13; 23 ] else [ 49; 63; 79; 93 ] in
-  let inputs =
-    List.map
-      (fun n ->
-        let ryd = rydberg_for name n in
-        (n, ryd.Rydberg.aais, static_target name n))
-      sizes
-  in
-  let compile_with ~domains (_, aais, target) =
-    let options =
-      { Qturbo_core.Compiler.default_options with Qturbo_core.Compiler.domains }
-    in
-    Qturbo_core.Compiler.compile ~options ~aais ~target ~t_tar:1.0 ()
-  in
-  let run_sweep ~outer ~inner =
-    time_run (fun () ->
-        Qturbo_par.Pool.parallel_map_list ~domains:outer ~chunk:1
-          (compile_with ~domains:inner) inputs)
-  in
-  let domains = Int.max 4 (Qturbo_par.Pool.default_domains ()) in
-  let cores = Domain.recommended_domain_count () in
-  progress "parallel: warmup";
-  ignore (run_sweep ~outer:1 ~inner:1);
-  progress "parallel: sweep with 1 domain";
-  let t_seq, r_seq = run_sweep ~outer:1 ~inner:1 in
-  progress "parallel: sweep with %d domains (%d cores)" domains cores;
-  let t_par, r_par = run_sweep ~outer:domains ~inner:1 in
-  let bits_equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-         a b
-  in
-  let identical =
-    List.for_all2
-      (fun (q : Qturbo_core.Compiler.result) (p : Qturbo_core.Compiler.result) ->
-        bits_equal q.Qturbo_core.Compiler.env p.Qturbo_core.Compiler.env
-        && bits_equal q.Qturbo_core.Compiler.alpha_achieved
-             p.Qturbo_core.Compiler.alpha_achieved
-        && q.Qturbo_core.Compiler.t_sim = p.Qturbo_core.Compiler.t_sim)
-      r_seq r_par
-  in
-  let sweep_speedup = t_seq /. Float.max 1e-9 t_par in
-  (* compiled kernels vs the recursive interpreter, over every channel
-     of the largest sweep point *)
-  let _, aais_k, _ = List.nth inputs (List.length inputs - 1) in
-  let channels = Aais.channels aais_k in
-  let vars = Aais.variables aais_k in
-  let env =
-    Array.map (fun (v : Variable.t) -> v.Variable.init +. 0.37) vars
-  in
-  let reps = if !quick then 200 else 300 in
-  let sink = ref 0.0 in
-  (* one untimed pass each: populates the domain-local eval stack and
-     warms the code paths *)
-  Array.iter
-    (fun (c : Instruction.channel) ->
-      sink := !sink +. Expr.eval c.Instruction.expr ~env;
-      sink := !sink +. Instruction.eval_channel c ~env)
-    channels;
-  let interp_s, () =
-    time_run (fun () ->
-        for _ = 1 to reps do
-          Array.iter
-            (fun (c : Instruction.channel) ->
-              sink := !sink +. Expr.eval c.Instruction.expr ~env)
-            channels
-        done)
-  in
-  let kernel_s, () =
-    time_run (fun () ->
-        for _ = 1 to reps do
-          Array.iter
-            (fun (c : Instruction.channel) ->
-              sink := !sink +. Instruction.eval_channel c ~env)
-            channels
-        done)
-  in
-  let kernel_speedup = interp_s /. Float.max 1e-9 kernel_s in
-  let t =
-    Table_fmt.create ~header:[ "measurement"; "seq(s)"; "par(s)"; "speedup" ]
-  in
-  Table_fmt.add_row t
-    [
-      Printf.sprintf "sweep n=%s (%d domains)"
-        (String.concat "," (List.map string_of_int sizes))
-        domains;
-      Table_fmt.cell_of_float t_seq;
-      Table_fmt.cell_of_float t_par;
-      Table_fmt.cell_of_float sweep_speedup;
-    ];
-  Table_fmt.add_row t
-    [
-      Printf.sprintf "kernel eval (%d channels x %d)" (Array.length channels)
-        reps;
-      Table_fmt.cell_of_float interp_s;
-      Table_fmt.cell_of_float kernel_s;
-      Table_fmt.cell_of_float kernel_speedup;
-    ];
-  Table_fmt.print
-    ~title:
-      (Printf.sprintf
-         "Parallel throughput (Fig. 3 Ising-cycle sweep; %d cores; outputs \
-          bitwise-identical: %b)"
-         cores identical)
-    t;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"%s\",\n\
-    \  \"sizes\": [%s],\n\
-    \  \"cores\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"sweep_seconds_sequential\": %.6f,\n\
-    \  \"sweep_seconds_parallel\": %.6f,\n\
-    \  \"sweep_speedup\": %.3f,\n\
-    \  \"outputs_bitwise_identical\": %b,\n\
-    \  \"kernel_eval\": {\n\
-    \    \"channels\": %d,\n\
-    \    \"passes\": %d,\n\
-    \    \"interpreted_seconds\": %.6f,\n\
-    \    \"compiled_seconds\": %.6f,\n\
-    \    \"speedup\": %.3f\n\
-    \  }\n\
-     }\n"
-    name
-    (String.concat ", " (List.map string_of_int sizes))
-    cores domains t_seq t_par sweep_speedup identical (Array.length channels)
-    reps interp_s kernel_s kernel_speedup;
-  close_out oc;
-  progress "parallel: wrote BENCH_parallel.json"
-
-(* ------------------------------------------------------------------ *)
-(* Resilience supervisor: overhead and recovery rates                  *)
-
-(* Does the escalation ladder actually recover each fault class?  Every
-   class is injected on a small instance and the compile's failure
-   records say which stage rescued it.  Results land in
-   BENCH_robustness.json. *)
-let robustness () =
-  let module F = Qturbo_resilience.Fault in
-  (* -- recovery rates per fault class on a small instance -- *)
-  let n_small = 5 in
-  let ryd = rydberg_for "ising-chain" n_small in
-  let target = static_target "ising-chain" n_small in
-  let clean =
-    Qturbo_core.Compiler.compile ~aais:ryd.Rydberg.aais ~target ~t_tar:1.0 ()
-  in
-  let cases =
-    [
-      ("nan residual", "lm=nan");
-      ("singular jacobian", "lm=singular");
-      ("budget exhausted", "lm=budget");
-      ("stage deadline", "lm=deadline");
-      ("two stages down", "lm=nan,lm-retry=singular");
-      ("retry exhausted", "constraint-loop=retry");
-      ("all stages down", "*=nan");
-    ]
-  in
-  let rt =
-    Table_fmt.create
-      ~header:[ "fault"; "recovered"; "records"; "err%"; "clean err%" ]
-  in
-  let case_results =
-    List.map
-      (fun (label, spec) ->
-        progress "robustness: injecting %s" spec;
-        let options =
-          {
-            Qturbo_core.Compiler.default_options with
-            Qturbo_core.Compiler.best_effort = true;
-            faults = Some (F.parse_exn spec);
-          }
-        in
-        let r =
-          Qturbo_core.Compiler.compile ~options ~aais:ryd.Rydberg.aais ~target
-            ~t_tar:1.0 ()
-        in
-        let recovered = not r.Qturbo_core.Compiler.degraded in
-        Table_fmt.add_row rt
-          [
-            label;
-            string_of_bool recovered;
-            string_of_int (List.length r.Qturbo_core.Compiler.failures);
-            Table_fmt.cell_of_float r.Qturbo_core.Compiler.relative_error;
-            Table_fmt.cell_of_float clean.Qturbo_core.Compiler.relative_error;
-          ];
-        (label, spec, recovered,
-         List.length r.Qturbo_core.Compiler.failures,
-         r.Qturbo_core.Compiler.relative_error))
-      cases
-  in
-  Table_fmt.print
-    ~title:
-      (Printf.sprintf
-         "Fault recovery (Ising chain, n = %d, best-effort; \"all stages \
-          down\" is expected to stay degraded)"
-         n_small)
-    rt;
-  let oc = open_out "BENCH_robustness.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"recovery\": [\n%s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (label, spec, recovered, records, err) ->
-            Printf.sprintf
-              "    {\"fault\": \"%s\", \"spec\": \"%s\", \"recovered\": %b, \
-               \"records\": %d, \"relative_error_percent\": %.6f}"
-              label spec recovered records err)
-          case_results));
-  close_out oc;
-  progress "robustness: wrote BENCH_robustness.json"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per table/figure              *)
-
-let micro () =
-  let open Bechamel in
-  let n = 13 in
-  let ryd = rydberg_for "ising-chain" n in
-  let target = static_target "ising-chain" n in
-  let channels = Aais.channels ryd.Rydberg.aais in
-  let ls = Qturbo_core.Linear_system.build ~channels ~target ~t_tar:1.0 in
-  let heis = Heisenberg.build ~spec:Device.heisenberg_default ~n in
-  let heis_target = static_target "ising-chain" n in
-  let mis = Qturbo_models.Benchmarks.mis_chain ~n:5 () in
-  let mis_ryd = Rydberg.build ~spec:relaxed_line ~n:5 in
-  let fig6_ryd = Rydberg.build ~spec:Device.aquila_fig6a ~n:6 in
-  let fig6_target =
-    Qturbo_pauli.Pauli_sum.drop_identity
-      (Qturbo_models.Model.hamiltonian_at
-         (Qturbo_models.Benchmarks.ising_cycle ~n:6 ~j:0.157 ~h:0.785 ())
-         ~s:0.0)
-  in
-  let fig6_pulse =
-    let r =
-      Qturbo_core.Compiler.compile ~aais:fig6_ryd.Rydberg.aais
-        ~target:fig6_target ~t_tar:0.5 ()
-    in
-    Qturbo_core.Extract.rydberg_pulse fig6_ryd ~env:r.Qturbo_core.Compiler.env
-      ~t_sim:r.Qturbo_core.Compiler.t_sim
-  in
-  let small_ryd = Rydberg.build ~spec:Device.aquila_paper ~n:3 in
-  let small_target = static_target "ising-chain" 3 in
-  let tests =
-    [
-      Test.make ~name:"table1/simuq-global-solve-n3"
-        (Staged.stage (fun () ->
-             Qturbo_simuq.Simuq_compiler.compile
-               ~aais:small_ryd.Rydberg.aais ~target:small_target ~t_tar:1.0 ()));
-      Test.make ~name:"fig3/qturbo-compile-rydberg-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Compiler.compile ~aais:ryd.Rydberg.aais ~target
-               ~t_tar:1.0 ()));
-      Test.make ~name:"fig4/qturbo-compile-heisenberg-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Compiler.compile ~aais:heis.Heisenberg.aais
-               ~target:heis_target ~t_tar:1.0 ()));
-      Test.make ~name:"fig5a/greedy-mapping-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Mapping.greedy_chain ~target ~n));
-      Test.make ~name:"fig5b/td-compile-mis-n5"
-        (Staged.stage (fun () ->
-             Qturbo_core.Td_compiler.compile ~aais:mis_ryd.Rydberg.aais
-               ~model:mis ~t_tar:1.0 ~segments:4 ()));
-      Test.make ~name:"fig6/pulse-evolution-6q"
-        (Staged.stage (fun () ->
-             Qturbo_device_noise.Emulator.noiseless_final_state
-               ~pulse:fig6_pulse));
-      Test.make ~name:"substrate/global-linear-system-n13"
-        (Staged.stage (fun () -> Qturbo_core.Linear_system.solve ls));
-      Test.make ~name:"substrate/locality-decomposition-n13"
-        (Staged.stage (fun () ->
-             Qturbo_core.Locality.decompose ~channels
-               ~n_vars:(Variable.count ryd.Rydberg.aais.Aais.pool)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"qturbo" ~fmt:"%s %s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:500
-      ~quota:(Time.second (if !quick then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Table_fmt.create ~header:[ "kernel"; "time/run" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      match Analyze.OLS.estimates est with
-      | Some (ns :: _) ->
-          let cell =
-            if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-            else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-            else Printf.sprintf "%.0f ns" ns
-          in
-          rows := (name, cell) :: !rows
-      | Some [] | None -> ())
-    results;
-  List.iter
-    (fun (name, cell) -> Table_fmt.add_row t [ name; cell ])
-    (List.sort compare !rows);
-  Table_fmt.print ~title:"Bechamel micro-benchmarks (per-run OLS estimate)" t
-
-(* ------------------------------------------------------------------ *)
 (* Staged-pipeline economics: how much of a compile is the reusable    *)
 (* coefficient-free front end, and what the structural plan cache buys *)
 (* on repeated solves over one shape.  Results land in BENCH_plan.json *)
@@ -1920,15 +1598,12 @@ let experiments =
     ("fig6b", fig6b);
     ("ablations", ablations);
     ("analysis", analysis);
-    ("parallel", parallel);
     ("plan", plan);
     ("sweep", sweep);
-    ("robustness", robustness);
     ("ext-noise", ext_noise);
     ("ext-markovian", ext_markovian);
     ("ext-digital", ext_digital);
     ("ext-segments", ext_segments);
-    ("micro", micro);
   ]
 
 let () =

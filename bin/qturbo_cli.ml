@@ -120,8 +120,8 @@ let print_compile_result ~(instance : Backend.instance) ~show_pulse ~ramp
   let p = r.Qturbo_core.Compiler.plan in
   if p.Qturbo_core.Compiler.cache_enabled then
     Printf.printf
-      "plan: %s (cache %d hit(s) / %d miss(es)%s; this key %d/%d; build %.2f \
-       ms, solve %.2f ms)\n"
+      "plan: %s (cache %d hit(s) / %d miss(es)%s; build %.2f ms, solve %.2f \
+       ms)\n"
       (if p.Qturbo_core.Compiler.cache_hit then "cached"
        else if p.Qturbo_core.Compiler.store_hit then "stored"
        else "built")
@@ -130,7 +130,6 @@ let print_compile_result ~(instance : Backend.instance) ~show_pulse ~ramp
          Printf.sprintf " / %d discarded"
            p.Qturbo_core.Compiler.cache_discarded
        else "")
-      p.Qturbo_core.Compiler.key_hits p.Qturbo_core.Compiler.key_misses
       (1000.0 *. p.Qturbo_core.Compiler.build_seconds)
       (1000.0 *. p.Qturbo_core.Compiler.solve_seconds)
   else
@@ -744,8 +743,6 @@ let parse_jobs_file path =
    with End_of_file -> ());
   List.rev !jobs
 
-let digest_key = Ops.digest_key
-
 let print_plan_summary ~plan_cache =
   if not plan_cache then print_endline "plan: cache disabled"
   else begin
@@ -755,13 +752,7 @@ let print_plan_summary ~plan_cache =
        cached plan(s)\n"
       s.Qturbo_core.Plan_cache.hits s.Qturbo_core.Plan_cache.misses
       s.Qturbo_core.Plan_cache.evictions s.Qturbo_core.Plan_cache.discarded
-      s.Qturbo_core.Plan_cache.size;
-    List.iter
-      (fun (key, (k : Qturbo_core.Plan_cache.key_stats)) ->
-        Printf.printf "  key %s: %d hit(s) / %d miss(es)\n" (digest_key key)
-          k.Qturbo_core.Plan_cache.key_hits
-          k.Qturbo_core.Plan_cache.key_misses)
-      (Qturbo_core.Compile_plan.cache_per_key ())
+      s.Qturbo_core.Plan_cache.size
   end;
   print_store_summary ()
 

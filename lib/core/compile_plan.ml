@@ -64,9 +64,6 @@ type plan_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_discarded : int;
-  key_hits : int;
-  key_misses : int;
-  key_evictions : int;
   build_seconds : float;
   solve_seconds : float;
 }
@@ -389,14 +386,6 @@ let lint (plan : t) =
    measurement ([bench analysis]) and emergencies. *)
 let lint_plans = ref true
 
-(* Re-lint on every cache hit — a debug flag (QTURBO_LINT_CACHE=1),
-   since hits are the hot path and plans are immutable. *)
-let lint_on_hit =
-  ref
-    (match Sys.getenv_opt "QTURBO_LINT_CACHE" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Caches                                                              *)
 
@@ -404,21 +393,12 @@ let plan_cache : t Plan_cache.t = Plan_cache.create ~capacity:32
 let device_cache : device Plan_cache.t = Plan_cache.create ~capacity:8
 
 let cache_stats () = Plan_cache.stats plan_cache
-let cache_per_key () = Plan_cache.per_key plan_cache
 let device_cache_stats () = Plan_cache.stats device_cache
 
 let clear_caches () =
   Plan_cache.clear plan_cache;
   Plan_cache.clear device_cache;
   clear_key_memo ()
-
-(* test-only: plant a plan without the [admit] lint gate, so the
-   hit-path re-lint can be exercised against a corrupted resident *)
-let cache_insert_unchecked (plan : t) =
-  (* replace, not add: [Plan_cache.add] keeps an existing resident on a
-     key collision, which would silently discard the planted plan *)
-  Plan_cache.remove plan_cache plan.key;
-  Plan_cache.add plan_cache plan.key plan
 
 (* [device_key] is [device_key ~options ~aais], rendered by the caller *)
 let obtain_device_keyed ~options ~device_key ~aais =
@@ -476,20 +456,6 @@ let build ?(options = default_options) ?device ~aais ~target_shape () =
   build_with ~target_shape ~device:(fun () ->
       match device with Some d -> d | None -> obtain_device ~options ~aais)
 
-(* Lint-gated cache admission: a plan failing [Plan_lint] is never
-   admitted, and the refusal is counted ([Plan_cache.reject]).  Returns
-   the lint errors (empty = admitted). *)
-let admit (plan : t) =
-  match Diagnostic.errors (lint plan) with
-  | [] ->
-      Plan_cache.add plan_cache plan.key plan;
-      []
-  | errs ->
-      Plan_cache.reject plan_cache plan.key;
-      Log.warn (fun m ->
-          m "plan lint refused cache admission (%d errors)" (List.length errs));
-      errs
-
 (* ------------------------------------------------------------------ *)
 (* Persistent plan store                                               *)
 
@@ -531,9 +497,7 @@ let store_stats () = Option.map Plan_store.stats !store
    key, checksum) can still be semantic garbage — a hand-edited entry
    with a recomputed checksum.  The decode is exception-guarded and
    every deserialized plan passes the full [Plan_lint] gate before it
-   is served; this is the "deserialized plan store" case the
-   [lint_on_hit] doc anticipates, except here the lint is
-   unconditional.  Any failure demotes the store hit to a corrupt miss
+   is served.  Any failure demotes the store hit to a corrupt miss
    and the caller rebuilds. *)
 let store_fetch ~key =
   match !store with
@@ -577,45 +541,31 @@ let obtain_for_support ~options ~aais ~support =
        cold build pays: the device part and the plan reuse it *)
     let device_key = device_key ~options ~aais in
     let key = plan_key_of_device ~device_key ~support in
-    let rebuild () =
-      let p =
-        build_with ~target_shape:support ~device:(fun () ->
-            obtain_device_keyed ~options ~device_key ~aais)
-      in
-      (* no [admit] here: when the strict gate is on, [build] just
-         linted this plan (and raised on errors), so re-linting at
-         admission would double the gate cost on every fresh build;
-         when the gate is off, the caller asked for no linting at all *)
-      Plan_cache.add plan_cache p.key p;
-      store_persist p;
-      (p, Built)
-    in
     let ((p, _) as obtained) =
       match Plan_cache.find plan_cache key with
       | Some p ->
-          if !lint_on_hit && Diagnostic.has_errors (lint p) then begin
-            (* a resident plan that no longer lints is never served:
-               pull it, count the rejection, and rebuild from scratch *)
-            Plan_cache.reject plan_cache key;
-            Plan_cache.remove plan_cache key;
-            Log.warn (fun m -> m "plan lint pulled a resident cache entry");
-            rebuild ()
-          end
-          else begin
-            !stage_hook "plan-cache-hit";
-            (p, Cached)
-          end
+          !stage_hook "plan-cache-hit";
+          (p, Cached)
       | None -> (
           match store_fetch ~key with
           | Some p ->
               !stage_hook "plan-store-hit";
               Plan_cache.add plan_cache p.key p;
-              (* the deserialized device part is shareable too: admit it
+              (* the deserialized device part is shareable too: cache it
                  so fresh shapes on the same device skip the prepare
                  pass *)
               Plan_cache.add device_cache p.device.device_key p.device;
               (p, Stored)
-          | None -> rebuild ())
+          | None ->
+              (* [build_with] already linted this plan (raising on
+                 errors) unless the caller switched the gate off *)
+              let p =
+                build_with ~target_shape:support ~device:(fun () ->
+                    obtain_device_keyed ~options ~device_key ~aais)
+              in
+              Plan_cache.add plan_cache p.key p;
+              store_persist p;
+              (p, Built))
     in
     share_device_key ~options ~aais p.device.device_key;
     obtained
@@ -1069,10 +1019,6 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
   in
   let now = Qturbo_util.Clock.now () in
   let cache = Plan_cache.stats plan_cache in
-  let kstats =
-    if options.plan_cache then Plan_cache.key_stats plan_cache plan.key
-    else Plan_cache.zero_key_stats
-  in
   {
     env = s.Segments.env;
     t_sim = s.Segments.duration;
@@ -1100,9 +1046,6 @@ let solve_from ~t0 ~provenance ~options ~strict ?t_max ~plan ~target ~t_tar () =
         cache_hits = cache.Plan_cache.hits;
         cache_misses = cache.Plan_cache.misses;
         cache_discarded = cache.Plan_cache.discarded;
-        key_hits = kstats.Plan_cache.key_hits;
-        key_misses = kstats.Plan_cache.key_misses;
-        key_evictions = kstats.Plan_cache.key_evictions;
         build_seconds =
           (* a store hit skipped the front end too; the build time baked
              into the deserialized plan belongs to the writer process *)

@@ -73,9 +73,6 @@ type plan_stats = {
   cache_discarded : int;
       (** process-wide: fresh builds dropped because the key was
           already resident (concurrent double-builds) *)
-  key_hits : int;  (** counters for {e this} compile's plan key *)
-  key_misses : int;
-  key_evictions : int;
   build_seconds : float;  (** front-end cost (0 on a cache or store hit) *)
   solve_seconds : float;  (** numeric back-end cost *)
 }
@@ -171,11 +168,9 @@ val obtain :
     came from.  Lookup order: memory LRU, then the persistent store
     (when {!enable_store} is active — a validated store hit back-fills
     the LRU), then a fresh build (which back-fills both).  Fresh builds
-    pass through the {!lint} gate (see {!build}); with {!lint_on_hit}
-    set, resident plans are re-linted on every hit and a failing plan
-    is pulled, counted as a rejection and rebuilt rather than served.
-    Store payloads are {e always} re-linted before being served,
-    whatever {!lint_on_hit} says. *)
+    pass through the {!lint} gate (see {!build}) and store payloads are
+    re-linted before being served; a memory hit is served as is (plans
+    are immutable and were linted on the way in). *)
 
 val obtain_for_support :
   options:options ->
@@ -206,27 +201,14 @@ val structure_comps :
     partition, classification arity, structural-key round-trip, and
     prepared-context agreement.  {!build} runs it on every fresh plan
     and raises {!Diagnostic.Rejected} on errors (disable via
-    {!lint_plans}); cached plans re-lint on hit behind {!lint_on_hit}
-    ([QTURBO_LINT_CACHE=1]). *)
+    {!lint_plans}); every plan loaded from the store is linted too. *)
 
 val lint : t -> Diagnostic.t list
 (** Run the invariant pass on a plan; [[]] when sound. *)
 
-val admit : t -> Diagnostic.t list
-(** Lint-gated cache admission: admit the plan under its key when the
-    lint is clean (returning [[]]), otherwise refuse, count the
-    rejection in the cache telemetry ({!Plan_cache.stats.rejected}) and
-    return the errors.  A plan failing {!lint} is never admitted. *)
-
 val lint_plans : bool ref
 (** Lint every fresh {!build} (default [true]).  Turned off only for
     overhead measurement ([bench analysis]). *)
-
-val lint_on_hit : bool ref
-(** Re-lint resident plans on every cache hit (default: set when
-    [QTURBO_LINT_CACHE] is [1]/[true]/[yes]).  Debug flag — hits are
-    the hot path and plans are immutable, so this buys nothing unless
-    memory corruption or a deserialized plan store is in play. *)
 
 (** {1 Solving} *)
 
@@ -360,10 +342,6 @@ val store_version : unit -> string option
 
 val cache_stats : unit -> Plan_cache.stats
 
-val cache_per_key : unit -> (string * Plan_cache.key_stats) list
-(** Per-key counters of the plan cache (keys are the exact structural
-    strings; display layers typically digest them), sorted by key. *)
-
 val device_cache_stats : unit -> Plan_cache.stats
 
 type device_key_stats = {
@@ -377,8 +355,3 @@ val device_key_stats : unit -> device_key_stats
 val clear_caches : unit -> unit
 (** Drop all cached plans/devices and memoized device keys and zero
     the counters (tests, benchmarks and cold-path measurement). *)
-
-val cache_insert_unchecked : t -> unit
-(** Insert a plan under its key {e without} the {!admit} lint gate,
-    replacing any resident under that key.  Test-only: plants corrupted
-    residents so the {!lint_on_hit} path can be exercised. *)

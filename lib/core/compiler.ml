@@ -43,9 +43,6 @@ type plan_stats = Compile_plan.plan_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_discarded : int;
-  key_hits : int;
-  key_misses : int;
-  key_evictions : int;
   build_seconds : float;
   solve_seconds : float;
 }

@@ -81,9 +81,6 @@ type plan_stats = Compile_plan.plan_stats = {
   cache_discarded : int;
       (** process-wide: fresh builds dropped because the key was
           already resident (concurrent double-builds) *)
-  key_hits : int;  (** counters for {e this} compile's plan key *)
-  key_misses : int;
-  key_evictions : int;
   build_seconds : float;  (** structural front-end cost (0 on a hit) *)
   solve_seconds : float;  (** numeric back-end cost *)
 }

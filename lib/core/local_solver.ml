@@ -272,14 +272,14 @@ let generic_min_time_impl ~alpha p g =
         (r.Scalar.root, failures)
   end
 
-let generic_min_time_prepared ~alpha p g = fst (generic_min_time_impl ~alpha p g)
-
+(* Closed forms only: the supervised entry points below dispatch
+   [Generic] components themselves. *)
 let min_time_prepared ~alpha p =
   match (p.p_cls, p.p_case) with
   | Fixed_vars, _ -> 0.0
   | Const_channels, P_const ks ->
       (* expr·T = α: every channel pins T; take the largest demand (smaller
-         demands become approximation error, reported by solve_at) *)
+         demands become approximation error, reported by the solve) *)
       List.fold_left
         (fun acc (cid, k) ->
           let a = alpha.(cid) in
@@ -294,7 +294,6 @@ let min_time_prepared ~alpha p =
       else
         let hi = p.p_vars.(amp).Variable.bound.Bounds.hi in
         if hi > 0.0 then omega_t /. hi else infinity
-  | Generic, P_generic g -> generic_min_time_prepared ~alpha p g
   | (Const_channels | Generic), _ -> assert false
 
 let eval_eps2 ~channels ~alpha ~t_sim comp assignments =
@@ -309,14 +308,14 @@ let eval_eps2 ~channels ~alpha ~t_sim comp assignments =
 let solve_prepared ~alpha ~t_sim p =
   if t_sim <= 0.0 then
     invalid_arg
-      (Printf.sprintf "Local_solver.solve_at: t_sim <= 0 (component %d)"
+      (Printf.sprintf "Local_solver.solve_supervised: t_sim <= 0 (component %d)"
          p.p_comp.Locality.id);
   let vars = p.p_vars and channels = p.p_channels and comp = p.p_comp in
   match (p.p_cls, p.p_case) with
   | Fixed_vars, _ ->
       invalid_arg
         (Printf.sprintf
-           "Local_solver.solve_at: component %d is runtime-fixed (use \
+           "Local_solver.solve_supervised: component %d is runtime-fixed (use \
             Fixed_solver)"
            p.p_comp.Locality.id)
   | Const_channels, P_const ks ->
@@ -337,15 +336,14 @@ let solve_prepared ~alpha ~t_sim p =
       let phi = Bounds.clamp vars.(phase).Variable.bound phi in
       let assignments = [ (amp, omega); (phase, phi) ] in
       { assignments; eps2 = eval_eps2 ~channels ~alpha ~t_sim comp assignments }
-  | Generic, P_generic g -> generic_solve_prepared ~alpha ~t_sim p g
   | (Const_channels | Generic), _ -> assert false
 
 (* ---- supervised entry points -------------------------------------- *)
 
 (* Closed-form cases (const/linear/polar) are direct arithmetic that
    cannot diverge, so only the generic LM path runs under the ladder.
-   With [Supervisor.none] the supervised path is bitwise-identical to
-   [solve_prepared]. *)
+   With [Supervisor.none] that path is bitwise-identical to the raw LM
+   solve ([generic_solve_prepared]) the [T] bisection probes with. *)
 
 let solve_supervised ~sup ~alpha ~t_sim p =
   match (p.p_cls, p.p_case) with
@@ -368,11 +366,3 @@ let min_time_supervised ~sup ~alpha p =
           ] )
       else generic_min_time_impl ~alpha p g
   | _ -> (min_time_prepared ~alpha p, [])
-
-(* ---- unprepared entry points (tests, one-off probes) -------------- *)
-
-let min_time ~vars ~channels ~alpha comp classification =
-  min_time_prepared ~alpha (prepare ~vars ~channels comp classification)
-
-let solve_at ~vars ~channels ~alpha ~t_sim comp classification =
-  solve_prepared ~alpha ~t_sim (prepare ~vars ~channels comp classification)

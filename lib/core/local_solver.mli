@@ -68,46 +68,26 @@ val solve_supervised :
   t_sim:float ->
   prepared ->
   solution * Qturbo_resilience.Failure.t list
-(** {!solve_at} against a prepared component, with the generic LM path
-    run under the resilience escalation ladder (site ["local-solve"], the
-    component's locality id).  Closed-form classifications are direct
-    arithmetic and bypass the ladder.  Under [Supervisor.none] the result
-    is bitwise-identical to {!solve_at}; on a hard solver failure the
-    returned solution keeps the initial iterate (clamped into bounds) and
-    the failure list says why. *)
+(** Solve the component's variables given the global [T_sim].  Values
+    are clamped into their bounds; the clamping error shows up in
+    [eps2].  [Fixed_vars] components raise [Invalid_argument] (use
+    {!Fixed_solver}).  The generic LM path runs under the resilience
+    escalation ladder (site ["local-solve"], the component's locality
+    id); closed-form classifications are direct arithmetic and bypass
+    the ladder.  Under [Supervisor.none] the result is bitwise-identical
+    to the unsupervised solve; on a hard solver failure the returned
+    solution keeps the initial iterate (clamped into bounds) and the
+    failure list says why. *)
 
 val min_time_supervised :
   sup:Qturbo_resilience.Supervisor.t ->
   alpha:float array ->
   prepared ->
   float * Qturbo_resilience.Failure.t list
-(** {!min_time} against a prepared component, additionally reporting a
-    non-fatal [Non_convergence] record when the generic path's [T]
-    bisection (or bracket doubling) stops before reaching its tolerance,
-    and [Deadline_expired] when the supervision deadline has already
-    passed. *)
-
-val min_time :
-  vars:Qturbo_aais.Variable.t array ->
-  channels:Qturbo_aais.Instruction.channel array ->
-  alpha:float array ->
-  Locality.component ->
-  classification ->
-  float
 (** Shortest feasible [T_sim] for this component alone: [0.] when the
     component imposes no lower bound (all-zero targets, or runtime-fixed
     components whose feasibility is policed later), [infinity] when
-    infeasible at any time. *)
-
-val solve_at :
-  vars:Qturbo_aais.Variable.t array ->
-  channels:Qturbo_aais.Instruction.channel array ->
-  alpha:float array ->
-  t_sim:float ->
-  Locality.component ->
-  classification ->
-  solution
-(** Solve the component's variables given the global [T_sim].  Values are
-    clamped into their bounds; the clamping error shows up in [eps2].
-    [Fixed_vars] components raise [Invalid_argument] (use
-    {!Fixed_solver}). *)
+    infeasible at any time.  Also reports a non-fatal [Non_convergence]
+    record when the generic path's [T] bisection (or bracket doubling)
+    stops before reaching its tolerance, and [Deadline_expired] when the
+    supervision deadline has already passed. *)

@@ -3,53 +3,21 @@ type stats = {
   misses : int;
   evictions : int;
   discarded : int;
-  rejected : int;
   size : int;
   capacity : int;
 }
 
-type key_stats = {
-  key_hits : int;
-  key_misses : int;
-  key_evictions : int;
-  key_discarded : int;
-  key_rejected : int;
-}
-
-let zero_key_stats =
-  {
-    key_hits = 0;
-    key_misses = 0;
-    key_evictions = 0;
-    key_discarded = 0;
-    key_rejected = 0;
-  }
-
 type 'a entry = { value : 'a; mutable last_used : int }
-
-(* Mutable per-key counter cell.  Cells survive eviction of their entry
-   (telemetry is about keys, not resident values) and are only dropped
-   by [clear]; the population is bounded by the number of distinct
-   structural shapes a process compiles, which is tiny. *)
-type kcell = {
-  mutable k_hits : int;
-  mutable k_misses : int;
-  mutable k_evictions : int;
-  mutable k_discarded : int;
-  mutable k_rejected : int;
-}
 
 type 'a t = {
   capacity : int;
   tbl : (string, 'a entry) Hashtbl.t;
-  keys : (string, kcell) Hashtbl.t;
   lock : Mutex.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable discarded : int;
-  mutable rejected : int;
 }
 
 let create ~capacity =
@@ -57,36 +25,17 @@ let create ~capacity =
   {
     capacity;
     tbl = Hashtbl.create (2 * capacity);
-    keys = Hashtbl.create (4 * capacity);
     lock = Mutex.create ();
     tick = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
     discarded = 0;
-    rejected = 0;
   }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* call under the lock *)
-let kcell t key =
-  match Hashtbl.find_opt t.keys key with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          k_hits = 0;
-          k_misses = 0;
-          k_evictions = 0;
-          k_discarded = 0;
-          k_rejected = 0;
-        }
-      in
-      Hashtbl.add t.keys key c;
-      c
 
 let find t key =
   locked t (fun () ->
@@ -95,13 +44,9 @@ let find t key =
           t.tick <- t.tick + 1;
           e.last_used <- t.tick;
           t.hits <- t.hits + 1;
-          let c = kcell t key in
-          c.k_hits <- c.k_hits + 1;
           Some e.value
       | None ->
           t.misses <- t.misses + 1;
-          let c = kcell t key in
-          c.k_misses <- c.k_misses + 1;
           None)
 
 (* Evict the least-recently-used entry.  Capacities are small (tens),
@@ -117,9 +62,7 @@ let evict_lru t =
   match !victim with
   | Some (key, _) ->
       Hashtbl.remove t.tbl key;
-      t.evictions <- t.evictions + 1;
-      let c = kcell t key in
-      c.k_evictions <- c.k_evictions + 1
+      t.evictions <- t.evictions + 1
   | None -> ()
 
 let add t key value =
@@ -134,34 +77,19 @@ let add t key value =
              silently under-reporting it (concurrent double-builds land
              here). *)
           e.last_used <- t.tick;
-          t.discarded <- t.discarded + 1;
-          let c = kcell t key in
-          c.k_discarded <- c.k_discarded + 1
+          t.discarded <- t.discarded + 1
       | None ->
           if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
           Hashtbl.add t.tbl key { value; last_used = t.tick })
 
-(* A lint rejection: the value was refused admission (or pulled after a
-   failed re-lint on hit).  Counted separately from evictions — an
-   eviction is capacity pressure, a rejection is an integrity failure. *)
-let reject t key =
-  locked t (fun () ->
-      t.rejected <- t.rejected + 1;
-      let c = kcell t key in
-      c.k_rejected <- c.k_rejected + 1)
-
-let remove t key = locked t (fun () -> Hashtbl.remove t.tbl key)
-
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
-      Hashtbl.reset t.keys;
       t.tick <- 0;
       t.hits <- 0;
       t.misses <- 0;
       t.evictions <- 0;
-      t.discarded <- 0;
-      t.rejected <- 0)
+      t.discarded <- 0)
 
 let stats t =
   locked t (fun () ->
@@ -170,27 +98,6 @@ let stats t =
         misses = t.misses;
         evictions = t.evictions;
         discarded = t.discarded;
-        rejected = t.rejected;
         size = Hashtbl.length t.tbl;
         capacity = t.capacity;
       })
-
-let key_stats_of_cell (c : kcell) =
-  {
-    key_hits = c.k_hits;
-    key_misses = c.k_misses;
-    key_evictions = c.k_evictions;
-    key_discarded = c.k_discarded;
-    key_rejected = c.k_rejected;
-  }
-
-let key_stats t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.keys key with
-      | Some c -> key_stats_of_cell c
-      | None -> zero_key_stats)
-
-let per_key t =
-  locked t (fun () ->
-      Hashtbl.fold (fun key c acc -> (key, key_stats_of_cell c) :: acc) t.keys []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))

@@ -1,19 +1,19 @@
 (** Bounded, mutex-guarded LRU cache keyed by structural strings.
 
-    Backs the {!Compile_plan} plan and device caches.  Entries must be
-    immutable (plans are), because a cached value may be shared by
-    concurrent compiles running on different pool domains.  All
-    operations are thread-safe; the critical sections are tiny (a
-    hash-table probe), so contention is negligible next to a solve.
+    Backs the {!Compile_plan} plan and device caches and the daemon's
+    backend-instance cache.  Entries must be immutable (plans are),
+    because a cached value may be shared by concurrent compiles running
+    on different pool domains.  All operations are thread-safe; the
+    critical sections are tiny (a hash-table probe), so contention is
+    negligible next to a solve.
 
-    Counters come at two granularities: process-global per cache
-    ({!stats}) and per key ({!key_stats}/{!per_key}), both surfaced in
-    [qturbo compile --json] and the sweep reports — per-key hit rates
-    are what makes the LRU capacities an observable sizing decision
-    rather than a guess.  Per-key counters survive eviction of the
-    entry (they describe the key's whole history) and are only dropped
-    by {!clear}, which resets everything (tests and benchmarks start
-    from a cold, zero-counter state). *)
+    The cache holds at most [capacity] keys: an evicted entry's key and
+    value are dropped together, so memory stays bounded however many
+    distinct shapes a long-running process sees.  Its only telemetry is
+    the process-global counters of {!stats}, surfaced in
+    [qturbo compile --json], the sweep reports and the daemon [stats]
+    op.  {!clear} resets everything (tests and benchmarks start from a
+    cold, zero-counter state). *)
 
 type stats = {
   hits : int;
@@ -22,22 +22,9 @@ type stats = {
   discarded : int;
       (** {!add} calls that found the key already resident and dropped
           the freshly built value (concurrent double-builds) *)
-  rejected : int;
-      (** {!reject} calls: values refused admission (or pulled on a
-          failed re-lint) by [Compile_plan]'s plan linter *)
   size : int;  (** resident entries *)
   capacity : int;
 }
-
-type key_stats = {
-  key_hits : int;
-  key_misses : int;
-  key_evictions : int;
-  key_discarded : int;
-  key_rejected : int;
-}
-
-val zero_key_stats : key_stats
 
 type 'a t
 
@@ -53,25 +40,7 @@ val add : 'a t -> string -> 'a -> unit
     equal structural keys are interchangeable by construction — and the
     drop is counted as [discarded]. *)
 
-val reject : 'a t -> string -> unit
-(** Count an integrity rejection for [key]: a value that failed
-    [Plan_lint] and was refused admission (or removed after a failed
-    re-lint on a cache hit).  Telemetry only — does not touch resident
-    entries; pair with {!remove} to pull a resident value. *)
-
-val remove : 'a t -> string -> unit
-(** Drop the resident entry for [key], if any.  Not counted as an
-    eviction (evictions are capacity pressure); callers removing a
-    lint-rejected value count it via {!reject}. *)
-
 val clear : 'a t -> unit
-(** Drop every entry, every per-key cell, and zero the counters. *)
+(** Drop every entry and zero the counters. *)
 
 val stats : 'a t -> stats
-
-val key_stats : 'a t -> string -> key_stats
-(** Counters for one key; {!zero_key_stats} for a never-seen key. *)
-
-val per_key : 'a t -> (string * key_stats) list
-(** Every key ever touched (hit, missed, evicted or discarded), with
-    its counters, sorted by key for deterministic output. *)

@@ -159,11 +159,10 @@ let jf = Qturbo_util.Json.float_lit
 
 let plan_to_json (p : Compiler.plan_stats) =
   Printf.sprintf
-    {|{"enabled":%b,"hit":%b,"store_enabled":%b,"store_hit":%b,"hits":%d,"misses":%d,"discarded":%d,"key_hits":%d,"key_misses":%d,"key_evictions":%d,"build_seconds":%s,"solve_seconds":%s}|}
+    {|{"enabled":%b,"hit":%b,"store_enabled":%b,"store_hit":%b,"hits":%d,"misses":%d,"discarded":%d,"build_seconds":%s,"solve_seconds":%s}|}
     p.Compiler.cache_enabled p.Compiler.cache_hit p.Compiler.store_enabled
     p.Compiler.store_hit p.Compiler.cache_hits p.Compiler.cache_misses
-    p.Compiler.cache_discarded p.Compiler.key_hits p.Compiler.key_misses
-    p.Compiler.key_evictions
+    p.Compiler.cache_discarded
     (jf p.Compiler.build_seconds)
     (jf p.Compiler.solve_seconds)
 

@@ -125,28 +125,13 @@ let parse_int_list ~what text =
 
 (* ---- cache / store telemetry ------------------------------------------ *)
 
-(* Plan-cache keys are exact structural strings (kilobytes for large
-   devices); display layers show a stable digest prefix instead. *)
-let digest_key key = String.sub (Digest.to_hex (Digest.string key)) 0 12
-
 let plan_cache_json () =
   let s = Qturbo_core.Compile_plan.cache_stats () in
-  let per_key = Qturbo_core.Compile_plan.cache_per_key () in
   Printf.sprintf
-    {|{"hits":%d,"misses":%d,"evictions":%d,"discarded":%d,"size":%d,"capacity":%d,"per_key":[%s]}|}
+    {|{"hits":%d,"misses":%d,"evictions":%d,"discarded":%d,"size":%d,"capacity":%d}|}
     s.Qturbo_core.Plan_cache.hits s.Qturbo_core.Plan_cache.misses
     s.Qturbo_core.Plan_cache.evictions s.Qturbo_core.Plan_cache.discarded
     s.Qturbo_core.Plan_cache.size s.Qturbo_core.Plan_cache.capacity
-    (String.concat ","
-       (List.map
-          (fun (key, (k : Qturbo_core.Plan_cache.key_stats)) ->
-            Printf.sprintf
-              {|{"key":"%s","hits":%d,"misses":%d,"evictions":%d,"discarded":%d}|}
-              (digest_key key) k.Qturbo_core.Plan_cache.key_hits
-              k.Qturbo_core.Plan_cache.key_misses
-              k.Qturbo_core.Plan_cache.key_evictions
-              k.Qturbo_core.Plan_cache.key_discarded)
-          per_key))
 
 (* Daemon-only telemetry (the [stats] op), kept out of the per-compile
    [plan_cache] objects so CLI and daemon reports stay byte-identical. *)

@@ -161,6 +161,20 @@ let test_classification_names () =
   Alcotest.(check int) "three polar" 3
     (count (function Local_solver.Polar _ -> true | _ -> false))
 
+(* Unsupervised probes: [Supervisor.none] is bitwise-identical to the
+   raw solvers. *)
+let min_time ~vars ~channels ~alpha comp cls =
+  fst
+    (Local_solver.min_time_supervised ~sup:Qturbo_resilience.Supervisor.none
+       ~alpha
+       (Local_solver.prepare ~vars ~channels comp cls))
+
+let solve_at ~vars ~channels ~alpha ~t_sim comp cls =
+  fst
+    (Local_solver.solve_supervised ~sup:Qturbo_resilience.Supervisor.none
+       ~alpha ~t_sim
+       (Local_solver.prepare ~vars ~channels comp cls))
+
 let test_min_time_detuning_case1 () =
   (* paper §5.1 Case 1: Δ/2 · T = 1 with Δ_max = 20 MHz → T = 0.1 µs *)
   let ryd = rydberg3 () in
@@ -169,7 +183,7 @@ let test_min_time_detuning_case1 () =
   let alpha = (Linear_system.solve ls).Qturbo_linalg.Sparse_solve.x in
   let times =
     List.map2
-      (fun comp cls -> Local_solver.min_time ~vars ~channels ~alpha comp cls)
+      (fun comp cls -> min_time ~vars ~channels ~alpha comp cls)
       comps classes
   in
   let sorted = List.sort Float.compare times in
@@ -197,7 +211,7 @@ let test_solve_at_detuning () =
       match cls with
       | Local_solver.Linear { var; _ } ->
           let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
+            solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
           in
           check_close "eps2" 1e-9 0.0 eps2;
           (match assignments with
@@ -222,7 +236,7 @@ let test_solve_at_polar () =
       match cls with
       | Local_solver.Polar { amp; phase; _ } ->
           let { Local_solver.assignments; eps2 } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
+            solve_at ~vars ~channels ~alpha ~t_sim:0.8 comp cls
           in
           check_close "polar exact" 1e-9 0.0 eps2;
           let lookup v = List.assoc v assignments in
@@ -246,7 +260,7 @@ let test_solve_at_clamps_out_of_bounds () =
       match cls with
       | Local_solver.Linear _ ->
           let { Local_solver.eps2; assignments } =
-            Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:0.01 comp cls
+            solve_at ~vars ~channels ~alpha ~t_sim:0.01 comp cls
           in
           List.iter
             (fun (v, value) ->
@@ -282,10 +296,10 @@ let test_generic_solver_case3 () =
       let cls = Local_solver.classify ~vars ~channels comp in
       Alcotest.(check bool) "generic" true (cls = Local_solver.Generic);
       let alpha = [| 1.0 |] in
-      let t = Local_solver.min_time ~vars ~channels ~alpha comp cls in
+      let t = min_time ~vars ~channels ~alpha comp cls in
       check_close "T = 1" 1e-3 1.0 t;
       let { Local_solver.assignments; eps2 } =
-        Local_solver.solve_at ~vars ~channels ~alpha ~t_sim:1.001 comp cls
+        solve_at ~vars ~channels ~alpha ~t_sim:1.001 comp cls
       in
       Alcotest.(check bool) "small residual" true (eps2 < 1e-3);
       (match assignments with
@@ -310,7 +324,7 @@ let test_const_component () =
       let cls = Local_solver.classify ~vars ~channels comp in
       Alcotest.(check bool) "const" true (cls = Local_solver.Const_channels);
       check_close "T = alpha / k" 1e-12 3.0
-        (Local_solver.min_time ~vars ~channels ~alpha:[| 6.0 |] comp cls)
+        (min_time ~vars ~channels ~alpha:[| 6.0 |] comp cls)
   | _ -> Alcotest.fail "one component expected"
 
 (* ---- Fixed_solver ---- *)

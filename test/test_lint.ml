@@ -1,7 +1,7 @@
 (* Tests for static analyzer stage two: the kernel IR verifier
    (Kernel_check, QT017-QT022), the plan-invariant linter (Plan_lint via
-   Compile_plan.lint, QT023-QT028), the lint-gated plan-cache admission,
-   and the fused/unfused peephole-equivalence property. *)
+   Compile_plan.lint, QT023-QT028), the fresh-build lint gate's escape
+   hatch, and the fused/unfused peephole-equivalence property. *)
 
 open Qturbo_pauli
 open Qturbo_aais
@@ -313,28 +313,7 @@ let test_qt028_prepared () =
   in
   check_codes "prepared count" [ "QT028" ] (Compile_plan.lint bad)
 
-(* ---- lint-gated cache admission ---- *)
-
-let test_admit_rejects_corrupted () =
-  Compile_plan.clear_caches ();
-  let plan = plan_for "ising-chain" 5 in
-  let before = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-  (* a sound plan is admitted silently *)
-  Alcotest.(check (list string)) "sound plan admitted" []
-    (codes (Compile_plan.admit plan));
-  let bad = { plan with Compile_plan.key = plan.Compile_plan.key ^ "#stale" } in
-  let errs = Compile_plan.admit bad in
-  check_codes "refused with QT027" [ "QT027" ] errs;
-  let after = Compile_plan.cache_stats () in
-  Alcotest.(check int) "rejection counted" (before + 1)
-    after.Plan_cache.rejected;
-  (* the corrupted plan is not resident under its (corrupted) key *)
-  let per_key = Compile_plan.cache_per_key () in
-  Alcotest.(check bool) "corrupted key absent" false
-    (List.exists
-       (fun (k, (ks : Plan_cache.key_stats)) ->
-         String.equal k bad.Compile_plan.key && ks.Plan_cache.key_rejected = 0)
-       per_key)
+(* ---- the fresh-build lint gate ---- *)
 
 let test_build_raises_on_broken_invariant () =
   (* with linting disabled, build hands back whatever it assembled; the
@@ -347,51 +326,6 @@ let test_build_raises_on_broken_invariant () =
     (fun () ->
       let plan = plan_for "ising-chain" 3 in
       Alcotest.(check (list string)) "still sound" [] (codes (Compile_plan.lint plan)))
-
-let test_cache_hit_relint_pulls_corrupted () =
-  Compile_plan.clear_caches ();
-  let ryd = rydberg_for "ising-chain" 5 in
-  let target = static_target "ising-chain" 5 in
-  let options = Compile_plan.default_options in
-  (* plant a corrupted resident under the true structural key: same key,
-     broken prepared-context invariant *)
-  let plan, prov =
-    Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-  in
-  Alcotest.(check bool) "first obtain is a miss" true
-    (prov = Compile_plan.Built);
-  let d = plan.Compile_plan.device in
-  let corrupted =
-    {
-      plan with
-      Compile_plan.device =
-        { d with Compile_plan.prepared = drop_last d.Compile_plan.prepared };
-    }
-  in
-  Compile_plan.cache_insert_unchecked corrupted;
-  (* without on-hit re-linting the corrupted resident would be served *)
-  Compile_plan.lint_on_hit := true;
-  Fun.protect
-    ~finally:(fun () -> Compile_plan.lint_on_hit := false)
-    (fun () ->
-      let before = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-      let served, prov' =
-        Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-      in
-      Alcotest.(check bool) "re-lint turns the hit into a rebuild" true
-        (prov' = Compile_plan.Built);
-      Alcotest.(check (list string)) "served plan is sound" []
-        (codes (Compile_plan.lint served));
-      let after = (Compile_plan.cache_stats ()).Plan_cache.rejected in
-      Alcotest.(check int) "pull counted as rejection" (before + 1) after;
-      (* the rebuilt plan was re-admitted: a second obtain hits clean *)
-      let again, prov2 =
-        Compile_plan.obtain ~options ~aais:ryd.Rydberg.aais ~target
-      in
-      Alcotest.(check bool) "resident is sound again" true
-        (prov2 = Compile_plan.Cached);
-      Alcotest.(check (list string)) "clean" [] (codes (Compile_plan.lint again)));
-  Compile_plan.clear_caches ()
 
 let () =
   Alcotest.run "lint"
@@ -437,11 +371,7 @@ let () =
         ] );
       ( "cache-admission",
         [
-          Alcotest.test_case "admit refuses corrupted plans" `Quick
-            test_admit_rejects_corrupted;
           Alcotest.test_case "lint_plans escape hatch" `Quick
             test_build_raises_on_broken_invariant;
-          Alcotest.test_case "on-hit re-lint pulls corrupted residents" `Quick
-            test_cache_hit_relint_pulls_corrupted;
         ] );
     ]

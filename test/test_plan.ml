@@ -206,24 +206,38 @@ let test_plan_cache_lru () =
   Alcotest.(check int) "hits" 4 s.Plan_cache.hits;
   Alcotest.(check int) "misses" 2 s.Plan_cache.misses;
   Alcotest.(check int) "discarded" 1 s.Plan_cache.discarded;
-  (* per-key telemetry: "a" saw 1 miss, 3 hits, 1 discarded build;
-     "b" was evicted once; an unseen key reads all-zero *)
-  let ka = Plan_cache.key_stats c "a" in
-  Alcotest.(check int) "a key hits" 3 ka.Plan_cache.key_hits;
-  Alcotest.(check int) "a key misses" 1 ka.Plan_cache.key_misses;
-  Alcotest.(check int) "a key discarded" 1 ka.Plan_cache.key_discarded;
-  let kb = Plan_cache.key_stats c "b" in
-  Alcotest.(check int) "b key evictions" 1 kb.Plan_cache.key_evictions;
-  Alcotest.(check bool) "unseen key zero" true
-    (Plan_cache.key_stats c "nope" = Plan_cache.zero_key_stats);
-  Alcotest.(check int) "per_key size" 3 (List.length (Plan_cache.per_key c));
   Plan_cache.clear c;
   let s = Plan_cache.stats c in
   Alcotest.(check int) "cleared size" 0 s.Plan_cache.size;
   Alcotest.(check int) "cleared hits" 0 s.Plan_cache.hits;
   Alcotest.(check int) "cleared misses" 0 s.Plan_cache.misses;
-  Alcotest.(check int) "cleared discarded" 0 s.Plan_cache.discarded;
-  Alcotest.(check int) "cleared per_key" 0 (List.length (Plan_cache.per_key c))
+  Alcotest.(check int) "cleared discarded" 0 s.Plan_cache.discarded
+
+(* An evicted key must not outlive its entry: plan keys are exact
+   structural strings (hundreds of kilobytes on large devices), so a
+   cache that kept any record of every key it ever saw would grow
+   without bound in a long-running daemon. *)
+let test_plan_cache_drops_evicted_keys () =
+  let c = Plan_cache.create ~capacity:2 in
+  let n = 50 in
+  let keys = Weak.create n in
+  for i = 0 to n - 1 do
+    let key = Printf.sprintf "shape-%d:%s" i (String.make 256 'k') in
+    Weak.set keys i (Some key);
+    Alcotest.(check (option int)) "fresh key misses" None (Plan_cache.find c key);
+    Plan_cache.add c key i
+  done;
+  Gc.full_major ();
+  let s = Plan_cache.stats c in
+  Alcotest.(check int) "resident" 2 s.Plan_cache.size;
+  Alcotest.(check int) "evictions" (n - 2) s.Plan_cache.evictions;
+  for i = 0 to n - 3 do
+    if Weak.check keys i then
+      Alcotest.failf "evicted key %d is still reachable from the cache" i
+  done;
+  (* the two residents are held by the cache, so the weak slots work *)
+  Alcotest.(check bool) "resident keys live" true
+    (Weak.check keys (n - 2) && Weak.check keys (n - 1))
 
 (* ---- stage hooks and cache plumbing ---- *)
 
@@ -485,6 +499,7 @@ let () =
           quick "device part shared across shapes" test_device_plan_shared_across_shapes;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_1;
           QCheck_alcotest.to_alcotest prop_cached_solve_bitwise_domains_4;
+          quick "evicted keys are collected" test_plan_cache_drops_evicted_keys;
         ] );
       ( "staging",
         [

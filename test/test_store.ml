@@ -417,6 +417,41 @@ let test_corrupt_store_rebuilds () =
   Alcotest.(check bool) "repaired entry hits" true
     r.Compiler.plan.Compiler.store_hit
 
+(* An entry whose bytes are all valid (magic, version, key, checksum)
+   and that decodes to a plan, but a plan breaking a cross-stage
+   invariant: only the lint gate on store loads can refuse it. *)
+let test_lint_failing_entry_rebuilds () =
+  with_store @@ fun dir ->
+  let r1 = compile_ising () in
+  let ryd = rydberg_for 5 in
+  let plan, _ =
+    Compile_plan.obtain ~options:Compiler.default_options
+      ~aais:ryd.Rydberg.aais ~target:(static_target "ising-chain" 5)
+  in
+  let d = plan.Compile_plan.device in
+  let bad =
+    {
+      plan with
+      Compile_plan.device =
+        { d with Compile_plan.prepared = List.tl d.Compile_plan.prepared };
+    }
+  in
+  Alcotest.(check bool) "planted plan fails the lint" true
+    (Qturbo_analysis.Diagnostic.has_errors (Compile_plan.lint bad));
+  let version = Option.get (Compile_plan.store_version ()) in
+  Alcotest.(check bool) "planted" true
+    (PS.save (PS.open_store ~version ~dir) ~key:bad.Compile_plan.key
+       ~payload:(Marshal.to_string bad [ Marshal.Closures ]));
+  Compile_plan.clear_caches ();
+  let r2 = compile_ising () in
+  Alcotest.(check bool) "rebuilt, not served" false
+    r2.Compiler.plan.Compiler.store_hit;
+  check_bits "t_sim identical" r1.Compiler.t_sim r2.Compiler.t_sim;
+  check_bits_arr "env identical" r1.Compiler.env r2.Compiler.env;
+  match Compile_plan.store_stats () with
+  | None -> Alcotest.fail "store stats missing"
+  | Some s -> Alcotest.(check int) "counted as corrupt" 1 s.PS.corrupt
+
 let test_version_mismatch_rebuilds () =
   with_store @@ fun dir ->
   let r1 = compile_ising () in
@@ -500,5 +535,7 @@ let () =
             test_version_mismatch_rebuilds;
           Alcotest.test_case "bitwise identical on/off, domains 1 and 4"
             `Quick test_store_bitwise_identical_across_domains;
+          Alcotest.test_case "lint-failing entry rebuilds" `Quick
+            test_lint_failing_entry_rebuilds;
         ] );
     ]
